@@ -28,23 +28,22 @@ type stats = {
   branch : Branch.stats;
 }
 
-type node_state = Waiting | Ready | Issued | Completed
+(* Node states, stored as ints in the [n_state] ring column. *)
+let st_waiting = 0
+let st_ready = 1
+let st_issued = 2
+let st_completed = 3
 
-type node = {
-  seq : int;
-  instr : Instr.t;
-  dbb : dbb;
-  mutable parents_left : int;
-  mutable state : node_state;
-  mutable dependents : node list;
-  mutable addr : int;  (** -1 when not a memory op *)
-  mutable accel_params : Value.t array;
-  mutable send_dst : int;  (** destination tile of a send, from the trace *)
-  mutable complete_cycle : int;
-}
-
-and dbb = { dbb_seq : int; dbb_bid : int; mutable incomplete : int }
-
+(* In-flight state lives in rings indexed by [seq land mask]. The window is
+   [retire_seq, next_seq): every seq below [retire_seq] has completed, and
+   the ring is sized (see [create]) so no live seq shares a slot. Every
+   hot structure — ready list, stash, event queue, register writers, the
+   last terminator — holds seqs as plain ints, and dependence edges live
+   in one int-array pool, so launching, issuing and retiring allocate
+   nothing. Heap-allocated nodes would not do: an out-of-order window
+   rarely drains, so a linked queue of them keeps one promoted cell whose
+   [next] write drags every later node into the major heap (DESIGN.md,
+   "Hot-path data structures"). *)
 type t = {
   id : int;
   cfg : Tile_config.t;
@@ -53,35 +52,54 @@ type t = {
   cursor : Trace.Cursor.cursor;
   hier : Hierarchy.t;
   comm : comm;
-  mutable ready_arr : node array;
+  instr_of_id : Instr.t array;
+  pos_of_id : int array;
+      (** instruction id -> position within its block, precomputed so DBB
+          wiring never rescans the block per dependence edge *)
+  mask : int;  (** node- and DBB-ring capacity - 1 *)
+  n_iid : int array;  (** static instruction id *)
+  n_dbb : int array;  (** launch number of the owning DBB *)
+  n_parents : int array;  (** parents not yet completed *)
+  n_state : int array;
+  n_deps : int array;  (** dependents-list head in the edge pool, or -1 *)
+  n_addr : int array;  (** -1 when not a memory op *)
+  n_mao : int array;  (** MAO handle; -1 when not a memory op *)
+  n_send_dst : int array;  (** destination tile of a send, from the trace *)
+  n_complete : int array;  (** completion cycle, -1 until completed *)
+  n_accel : Value.t array array;  (** accelerator-call parameters *)
+  dbb_bid : int array;  (** DBB ring, slot = launch number land mask *)
+  dbb_left : int array;  (** the DBB's nodes not yet completed *)
+  mutable e_dst : int array;  (** edge pool: dependent seq *)
+  mutable e_next : int array;  (** next edge of the same list, or -1 *)
+  mutable e_free : int;  (** free-list head, or -1 *)
+  mutable retire_seq : int;  (** oldest uncompleted seq; next_seq if none *)
+  mutable issue_seq : int;  (** in order: the oldest unissued seq *)
+  mutable next_seq : int;
+  ready_arr : int array;
       (** out-of-order ready list, sorted by seq and scanned in place; the
           previous heap popped and re-pushed every blocked node every cycle
           (two O(log n) sifts each), which dominated the issue stage *)
   mutable ready_len : int;
-  events : node Pqueue.t;  (** priority = completion cycle *)
-  inflight : node Queue.t;  (** creation order; completed prefix popped *)
-  order : node Queue.t;  (** unissued nodes in program order (in-order) *)
+  events : int Pqueue.t;  (** seqs by completion cycle *)
   mao : Mao.t;
-  mao_release : int Pqueue.t;
+  mao_release : Mao.handle Pqueue.t;
       (** deferred LSQ frees for fire-and-forget memory ops: the core
           retires them immediately but the entry pins the LSQ until the
           access completes in memory *)
-  mutable stash : node array;
-      (** nodes that became ready since the last issue scan; sorted and
+  stash : int array;
+      (** seqs that became ready since the last issue scan; sorted and
           merged into [ready_arr] at the top of the next scan *)
   mutable stash_len : int;
-  last_writer : node option array;
-  pos_of_id : int array;
-      (** instruction id -> position within its block, precomputed so DBB
-          wiring never rescans the block per dependence edge *)
+  last_writer : int array;  (** per register: writer seq or -1 *)
   fu_busy : int array;
   fu_limit_ci : int array;  (** dense per-class cost tables, see below *)
   latency_ci : int array;
   energy_ci : float array;
-  mutable next_seq : int;
   mutable live_dbbs : int;
   live_per_bb : int array;
-  mutable last_term : node option;
+  mutable last_term : int;
+      (** seq of the last launched block's terminator, or -1; always
+          [next_seq - 1], so its slot outlives its retirement *)
   predictor : Predictor.t option;
   mutable pending_mispredict : bool;
   mutable launch_enabled : bool;
@@ -108,10 +126,50 @@ let fresh_stats () =
     branch = Branch.fresh_stats ();
   }
 
+let rec ceil_pow2 n acc = if acc >= n then acc else ceil_pow2 n (acc * 2)
+
+(* A free list threading [first, len) of a fresh edge pool. *)
+let link_free next first =
+  let len = Array.length next in
+  for e = first to len - 1 do
+    next.(e) <- (if e + 1 < len then e + 1 else -1)
+  done
+
 let create ?(sink = Mosaic_obs.Sink.null) ?lat_hist ?(profile = Profile.null)
     ~id ~config ~func ~ddg ~tile_trace ~hierarchy ~comm () =
   if ddg.Ddg.func != func then
     invalid_arg "Core_tile.create: DDG built for a different function";
+  let blocks = func.Func.blocks in
+  let all_instrs =
+    Array.concat (Array.to_list (Array.map (fun b -> b.Func.instrs) blocks))
+  in
+  let ninstrs = Stdlib.max func.Func.ninstrs (Array.length all_instrs) in
+  let instr_of_id =
+    if Array.length all_instrs = 0 then [||]
+    else Array.make ninstrs all_instrs.(0)
+  in
+  let pos_of_id = Array.make (Stdlib.max ninstrs 1) (-1) in
+  Array.iter
+    (fun (b : Func.block) ->
+      Array.iteri
+        (fun k (i : Instr.t) ->
+          instr_of_id.(i.Instr.id) <- i;
+          pos_of_id.(i.Instr.id) <- k)
+        b.Func.instrs)
+    blocks;
+  (* A launch needs fewer than [window_size] seqs in flight and adds one
+     whole block, so the window never holds [window_size + longest block]
+     seqs, nor more DBBs than seqs. *)
+  let longest =
+    Array.fold_left
+      (fun m (b : Func.block) -> Stdlib.max m (Array.length b.Func.instrs))
+      1 blocks
+  in
+  let cap = ceil_pow2 (config.Tile_config.window_size + longest) 8 in
+  let col v = Array.make cap v in
+  let edges = 2 * cap in
+  let e_next = Array.make edges (-1) in
+  link_free e_next 0;
   {
     id;
     cfg = config;
@@ -120,27 +178,37 @@ let create ?(sink = Mosaic_obs.Sink.null) ?lat_hist ?(profile = Profile.null)
     cursor = Trace.Cursor.create tile_trace;
     hier = hierarchy;
     comm;
-    ready_arr = [||];
+    instr_of_id;
+    pos_of_id;
+    mask = cap - 1;
+    n_iid = col 0;
+    n_dbb = col 0;
+    n_parents = col 0;
+    n_state = col st_completed;
+    n_deps = col (-1);
+    n_addr = col (-1);
+    n_mao = col (-1);
+    n_send_dst = col (-1);
+    n_complete = col (-1);
+    n_accel = col [||];
+    dbb_bid = col 0;
+    dbb_left = col 0;
+    e_dst = Array.make edges 0;
+    e_next;
+    e_free = 0;
+    retire_seq = 0;
+    issue_seq = 0;
+    next_seq = 0;
+    ready_arr = col 0;
     ready_len = 0;
     events = Pqueue.create ();
-    inflight = Queue.create ();
-    order = Queue.create ();
     mao =
       Mao.create ~capacity:config.Tile_config.lsq_size
         ~perfect_alias:config.Tile_config.perfect_alias;
     mao_release = Pqueue.create ();
-    stash = [||];
+    stash = col 0;
     stash_len = 0;
-    last_writer = Array.make (Stdlib.max func.Func.nregs 1) None;
-    pos_of_id =
-      (let pos = Array.make (Stdlib.max func.Func.ninstrs 1) (-1) in
-       Array.iter
-         (fun (b : Func.block) ->
-           Array.iteri
-             (fun k (i : Instr.t) -> pos.(i.Instr.id) <- k)
-             b.Func.instrs)
-         func.Func.blocks;
-       pos);
+    last_writer = Array.make (Stdlib.max func.Func.nregs 1) (-1);
     fu_busy = Array.make Tile_config.nclasses 0;
     (* The issue path consults these once per issue attempt; compiling
        the config's association lists into dense arrays here keeps those
@@ -148,10 +216,9 @@ let create ?(sink = Mosaic_obs.Sink.null) ?lat_hist ?(profile = Profile.null)
     fu_limit_ci = Tile_config.fu_limit_table config;
     latency_ci = Tile_config.latency_table config;
     energy_ci = Tile_config.energy_table config;
-    next_seq = 0;
     live_dbbs = 0;
-    live_per_bb = Array.make (Array.length func.Func.blocks) 0;
-    last_term = None;
+    live_per_bb = Array.make (Array.length blocks) 0;
+    last_term = -1;
     predictor =
       (match config.Tile_config.branch with
       | Branch.Dynamic { kind; _ } -> Some (Predictor.create kind)
@@ -177,66 +244,69 @@ let ipc t =
   if t.stats.finish_cycle <= 0 then 0.0
   else float_of_int t.stats.completed_instrs /. float_of_int t.stats.finish_cycle
 
-let window_start t =
-  if Queue.is_empty t.inflight then t.next_seq else (Queue.peek t.inflight).seq
+let window_empty t = t.retire_seq = t.next_seq
+let instr t s = t.instr_of_id.(t.n_iid.(s land t.mask))
+let state t s = t.n_state.(s land t.mask)
+let bid_of t s = t.dbb_bid.(t.n_dbb.(s land t.mask) land t.mask)
 
-let is_mem_node n = Op.is_mem n.instr.Instr.op
+(* Seqs below the window have retired, and their slots may since have been
+   reused; only seqs inside the window are read from the ring. *)
+let is_completed t s = s < t.retire_seq || state t s = st_completed
+let is_mem_node t s = Op.is_mem (instr t s).Instr.op
 
-let push_stash t n =
-  if t.stash_len = Array.length t.stash then begin
-    let grown = Array.make (Stdlib.max 8 (2 * t.stash_len)) n in
-    Array.blit t.stash 0 grown 0 t.stash_len;
-    t.stash <- grown
-  end;
-  t.stash.(t.stash_len) <- n;
-  t.stash_len <- t.stash_len + 1
-
-let mark_ready t n =
-  n.state <- Ready;
-  if is_mem_node n then Mao.resolve t.mao ~seq:n.seq;
-  if not t.cfg.Tile_config.in_order then push_stash t n
+let mark_ready t s =
+  let sl = s land t.mask in
+  t.n_state.(sl) <- st_ready;
+  if t.n_mao.(sl) >= 0 then Mao.resolve t.mao t.n_mao.(sl);
+  if not t.cfg.Tile_config.in_order then begin
+    t.stash.(t.stash_len) <- s;
+    t.stash_len <- t.stash_len + 1
+  end
 
 (* --- Completion --- *)
 
-let complete_node t n ~cycle =
-  n.state <- Completed;
-  n.complete_cycle <- cycle;
+let complete_node t s ~cycle =
+  let sl = s land t.mask in
+  t.n_state.(sl) <- st_completed;
+  t.n_complete.(sl) <- cycle;
   if Mosaic_obs.Sink.enabled t.sink then
     Mosaic_obs.Sink.emit t.sink ~cycle
-      (Mosaic_obs.Event.Instr_retire { tile = t.id; seq = n.seq });
-  let cls = Op.classify n.instr.Instr.op in
+      (Mosaic_obs.Event.Instr_retire { tile = t.id; seq = s });
+  let op = t.instr_of_id.(t.n_iid.(sl)).Instr.op in
+  let cls = Op.classify op in
   t.stats.completed_instrs <- t.stats.completed_instrs + 1;
   t.stats.energy_pj <-
     t.stats.energy_pj +. t.energy_ci.(Tile_config.class_index cls);
   (* Fire-and-forget ops free their MAO entry when memory completes, not
      when the core retires them. *)
-  (match n.instr.Instr.op with
+  (match op with
   | Op.Load_send _ | Op.Store_recv _ -> ()
-  | _ -> if is_mem_node n then Mao.complete t.mao ~seq:n.seq);
-  n.dbb.incomplete <- n.dbb.incomplete - 1;
-  if n.dbb.incomplete = 0 then begin
+  | _ -> if t.n_mao.(sl) >= 0 then Mao.complete t.mao t.n_mao.(sl));
+  let ds = t.n_dbb.(sl) land t.mask in
+  t.dbb_left.(ds) <- t.dbb_left.(ds) - 1;
+  if t.dbb_left.(ds) = 0 then begin
     t.live_dbbs <- t.live_dbbs - 1;
-    t.live_per_bb.(n.dbb.dbb_bid) <- t.live_per_bb.(n.dbb.dbb_bid) - 1
+    t.live_per_bb.(t.dbb_bid.(ds)) <- t.live_per_bb.(t.dbb_bid.(ds)) - 1
   end;
-  (* Manual list walk: [List.iter] with an inline function allocates the
-     closure per completion. *)
-  let deps = ref n.dependents in
-  let continue = ref true in
-  while !continue do
-    match !deps with
-    | [] -> continue := false
-    | dep :: rest ->
-        dep.parents_left <- dep.parents_left - 1;
-        if dep.parents_left = 0 && dep.state = Waiting then mark_ready t dep;
-        deps := rest
+  (* Wake the dependents, returning each edge to the free list. *)
+  let e = ref t.n_deps.(sl) in
+  while !e >= 0 do
+    let d = t.e_dst.(!e) land t.mask in
+    t.n_parents.(d) <- t.n_parents.(d) - 1;
+    if t.n_parents.(d) = 0 && t.n_state.(d) = st_waiting then
+      mark_ready t t.e_dst.(!e);
+    let next = t.e_next.(!e) in
+    t.e_next.(!e) <- t.e_free;
+    t.e_free <- !e;
+    e := next
   done;
-  n.dependents <- [];
+  t.n_deps.(sl) <- -1;
   (* Retire: advance the window past the completed prefix. *)
   while
-    (not (Queue.is_empty t.inflight))
-    && (Queue.peek t.inflight).state = Completed
+    t.retire_seq < t.next_seq
+    && t.n_state.(t.retire_seq land t.mask) = st_completed
   do
-    ignore (Queue.pop t.inflight)
+    t.retire_seq <- t.retire_seq + 1
   done
 
 (* Returns whether anything matured: the scheduler must not skip cycles
@@ -247,111 +317,122 @@ let process_events t ~cycle =
     (not (Pqueue.is_empty t.mao_release))
     && Pqueue.min_prio t.mao_release <= cycle
   do
-    Mao.complete t.mao ~seq:(Pqueue.min_elt t.mao_release);
+    Mao.complete t.mao (Pqueue.min_elt t.mao_release);
     Pqueue.drop_min t.mao_release;
     progressed := true
   done;
   while
     (not (Pqueue.is_empty t.events)) && Pqueue.min_prio t.events <= cycle
   do
-    let c = Pqueue.min_prio t.events and n = Pqueue.min_elt t.events in
+    let c = Pqueue.min_prio t.events and s = Pqueue.min_elt t.events in
     Pqueue.drop_min t.events;
-    complete_node t n ~cycle:c;
+    complete_node t s ~cycle:c;
     progressed := true
   done;
   !progressed
 
 (* --- DBB launching --- *)
 
-(* Record [p] as a parent [n] must wait for. Top-level (not a closure in
-   the wiring loop) so launching allocates nothing beyond the nodes and
-   dependence conses themselves. *)
-let add_parent n (p : node) =
-  if p.state <> Completed then begin
-    n.parents_left <- n.parents_left + 1;
-    p.dependents <- n :: p.dependents
+let grow_edges t =
+  let len = Array.length t.e_next in
+  let e_dst = Array.make (2 * len) 0 and e_next = Array.make (2 * len) (-1) in
+  Array.blit t.e_dst 0 e_dst 0 len;
+  Array.blit t.e_next 0 e_next 0 len;
+  link_free e_next len;
+  t.e_dst <- e_dst;
+  t.e_next <- e_next;
+  t.e_free <- len
+
+(* Record [p] as a parent [child] must wait for: one edge at the head of
+   [p]'s dependents list (duplicates are kept, one per operand). *)
+let add_parent t ~child p =
+  if not (is_completed t p) then begin
+    let c = child land t.mask and ps = p land t.mask in
+    t.n_parents.(c) <- t.n_parents.(c) + 1;
+    if t.e_free < 0 then grow_edges t;
+    let e = t.e_free in
+    t.e_free <- t.e_next.(e);
+    t.e_dst.(e) <- child;
+    t.e_next.(e) <- t.n_deps.(ps);
+    t.n_deps.(ps) <- e
   end
+
+let mem_size = function
+  | Op.Load s | Op.Store s | Op.Atomic_rmw (_, s) | Op.Load_send (_, s)
+  | Op.Store_recv (_, s, _) ->
+      s
+  | _ -> -1
 
 let launch_dbb t bid =
   let blk = Func.block t.func bid in
-  let n_instrs = Array.length blk.Func.instrs in
-  let dbb = { dbb_seq = t.stats.dbbs_launched; dbb_bid = bid; incomplete = n_instrs } in
-  t.stats.dbbs_launched <- t.stats.dbbs_launched + 1;
+  let instrs = blk.Func.instrs in
+  let n_instrs = Array.length instrs in
+  let dbb = t.stats.dbbs_launched in
+  t.dbb_bid.(dbb land t.mask) <- bid;
+  t.dbb_left.(dbb land t.mask) <- n_instrs;
+  t.stats.dbbs_launched <- dbb + 1;
   t.live_dbbs <- t.live_dbbs + 1;
   t.live_per_bb.(bid) <- t.live_per_bb.(bid) + 1;
-  (* Allocate all the block's nodes up front (sequence numbers in program
-     order); the wiring pass below then never needs an option per slot. *)
-  let mk_node (instr : Instr.t) =
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    {
-      seq;
-      instr;
-      dbb;
-      parents_left = 0;
-      state = Waiting;
-      dependents = [];
-      addr = -1;
-      accel_params = [||];
-      send_dst = -1;
-      complete_cycle = -1;
-    }
-  in
-  let first = mk_node blk.Func.instrs.(0) in
-  let nodes = Array.make n_instrs first in
-  for k = 1 to n_instrs - 1 do
-    nodes.(k) <- mk_node blk.Func.instrs.(k)
-  done;
+  (* Sequence numbers in program order; each slot is initialized before
+     any later node of the block can name it as a parent. *)
+  let base = t.next_seq in
+  t.next_seq <- base + n_instrs;
   for k = 0 to n_instrs - 1 do
-    let instr = blk.Func.instrs.(k) in
-    let n = nodes.(k) in
-    let seq = n.seq in
+    let instr = instrs.(k) in
+    let seq = base + k in
+    let sl = seq land t.mask in
+    t.n_iid.(sl) <- instr.Instr.id;
+    t.n_dbb.(sl) <- dbb;
+    t.n_parents.(sl) <- 0;
+    t.n_state.(sl) <- st_waiting;
+    t.n_deps.(sl) <- -1;
+    t.n_addr.(sl) <- -1;
+    t.n_mao.(sl) <- -1;
+    t.n_send_dst.(sl) <- -1;
+    t.n_complete.(sl) <- -1;
     let deps = t.ddg.Ddg.deps.(instr.Instr.id) in
     let intra = deps.Ddg.intra in
     for di = 0 to Array.length intra - 1 do
       let pos = t.pos_of_id.(intra.(di)) in
       if pos >= k then
         invalid_arg "Core_tile: forward intra-block dependence";
-      add_parent n nodes.(pos)
+      add_parent t ~child:seq (base + pos)
     done;
     let ext = deps.Ddg.extern_regs in
     for ri = 0 to Array.length ext - 1 do
-      match t.last_writer.(ext.(ri)) with
-      | Some p -> add_parent n p
-      | None -> ()
+      let p = t.last_writer.(ext.(ri)) in
+      if p >= 0 then add_parent t ~child:seq p
     done;
     (* Memory nodes take their address from the trace and enter the MAO
        in program order. *)
-    (match Op.mem_size instr.Instr.op with
-    | Some size ->
-        let addr = Trace.Cursor.next_addr t.cursor ~instr_id:instr.Instr.id in
-        n.addr <- addr;
-        let kind =
-          match instr.Instr.op with
-          | Op.Load _ | Op.Load_send _ -> Mao.K_load
-          | Op.Store _ | Op.Atomic_rmw _ | Op.Store_recv _ | _ ->
-              Mao.K_store
-        in
-        Mao.insert t.mao ~seq ~kind ~addr ~size
-    | None -> ());
-    (match instr.Instr.op with
+    let op = instr.Instr.op in
+    let size = mem_size op in
+    if size >= 0 then begin
+      let addr = Trace.Cursor.next_addr t.cursor ~instr_id:instr.Instr.id in
+      t.n_addr.(sl) <- addr;
+      let kind =
+        match op with
+        | Op.Load _ | Op.Load_send _ -> Mao.K_load
+        | _ -> Mao.K_store
+      in
+      t.n_mao.(sl) <- Mao.insert t.mao ~seq ~kind ~addr ~size
+    end;
+    (match op with
     | Op.Accel _ ->
-        n.accel_params <-
+        t.n_accel.(sl) <-
           Trace.Cursor.next_accel_params t.cursor ~instr_id:instr.Instr.id
     | Op.Send _ | Op.Load_send _ ->
-        n.send_dst <-
+        t.n_send_dst.(sl) <-
           Trace.Cursor.next_send_dst t.cursor ~instr_id:instr.Instr.id
     | _ -> ());
     (match instr.Instr.dst with
-    | Some d -> t.last_writer.(d) <- Some n
+    | Some d -> t.last_writer.(d) <- seq
     | None -> ());
-    Queue.add n t.inflight;
-    if t.cfg.Tile_config.in_order then Queue.add n t.order;
-    if n.parents_left = 0 then mark_ready t n
+    if t.n_parents.(sl) = 0 then mark_ready t seq
   done;
-  let term = nodes.(n_instrs - 1) in
-  if Op.is_terminator term.instr.Instr.op then begin
-    t.last_term <- Some term;
+  let term = instrs.(n_instrs - 1) in
+  if Op.is_terminator term.Instr.op then begin
+    t.last_term <- base + n_instrs - 1;
     (* A dynamic predictor guesses (and trains on) the next block at
        fetch; the verdict is stable until that block launches. *)
     match t.predictor with
@@ -359,16 +440,16 @@ let launch_dbb t bid =
         let actual = Trace.Cursor.peek_block_id t.cursor 0 in
         if actual >= 0 then begin
           let predicted =
-            Predictor.predict pred ~branch_id:term.instr.Instr.id term.instr
+            Predictor.predict pred ~branch_id:term.Instr.id term
           in
-          Predictor.train pred ~branch_id:term.instr.Instr.id term.instr
-            ~actual;
-          t.pending_mispredict <- predicted <> Some actual
+          Predictor.train pred ~branch_id:term.Instr.id term ~actual;
+          t.pending_mispredict <-
+            (match predicted with Some p -> p <> actual | None -> true)
         end
         else t.pending_mispredict <- false
     | None -> t.pending_mispredict <- false
   end
-  else t.last_term <- None
+  else t.last_term <- -1
 
 (* Whether the next DBB may launch now, as an int code — the gate runs for
    every launch attempt and every next-event probe, so the old polymorphic
@@ -379,29 +460,33 @@ let gate_predicted = 2
 let gate_mispredicted = 3
 
 let control_gate t ~cycle ~next_bid =
-  match t.last_term with
-  | None -> gate_first
-  | Some term -> (
-      match t.cfg.Tile_config.branch with
-      | Branch.Perfect -> gate_predicted
-      | Branch.No_speculation ->
-          if term.state = Completed then gate_predicted else gate_wait
-      | Branch.Dynamic { penalty; _ } ->
-          if not t.pending_mispredict then gate_predicted
-          else if term.state = Completed && cycle >= term.complete_cycle + penalty
-          then gate_mispredicted
-          else gate_wait
-      | Branch.Static { penalty } ->
-          let bid = term.dbb.dbb_bid in
-          let predicted =
-            Branch.predict_id ~policy:t.cfg.Tile_config.branch ~bid term.instr
-          in
-          if predicted >= 0 && predicted = next_bid then gate_predicted
-            (* Mispredicted (or unpredictable): wait for resolution plus
-               the misprediction penalty. *)
-          else if term.state = Completed && cycle >= term.complete_cycle + penalty
-          then gate_mispredicted
-          else gate_wait)
+  let term = t.last_term in
+  if term < 0 then gate_first
+  else
+    match t.cfg.Tile_config.branch with
+    | Branch.Perfect -> gate_predicted
+    | Branch.No_speculation ->
+        if is_completed t term then gate_predicted else gate_wait
+    | Branch.Dynamic { penalty; _ } ->
+        if not t.pending_mispredict then gate_predicted
+        else if
+          is_completed t term
+          && cycle >= t.n_complete.(term land t.mask) + penalty
+        then gate_mispredicted
+        else gate_wait
+    | Branch.Static { penalty } ->
+        let predicted =
+          Branch.predict_id ~policy:t.cfg.Tile_config.branch
+            ~bid:(bid_of t term) (instr t term)
+        in
+        if predicted >= 0 && predicted = next_bid then gate_predicted
+          (* Mispredicted (or unpredictable): wait for resolution plus
+             the misprediction penalty. *)
+        else if
+          is_completed t term
+          && cycle >= t.n_complete.(term land t.mask) + penalty
+        then gate_mispredicted
+        else gate_wait
 
 let try_launches t ~cycle =
   let launched = ref 0 in
@@ -418,7 +503,7 @@ let try_launches t ~cycle =
         | Some limit -> t.live_per_bb.(next_bid) < limit
         | None -> true)
         && t.live_dbbs < t.cfg.Tile_config.max_live_dbbs
-        && t.next_seq - window_start t < t.cfg.Tile_config.window_size
+        && t.next_seq - t.retire_seq < t.cfg.Tile_config.window_size
       in
       if not live_ok then continue := false
       else begin
@@ -431,7 +516,7 @@ let try_launches t ~cycle =
           if gate = gate_mispredicted then
             t.stats.branch.Branch.mispredictions <-
               t.stats.branch.Branch.mispredictions + 1;
-          ignore (Trace.Cursor.next_block t.cursor);
+          Trace.Cursor.advance_block t.cursor;
           launch_dbb t next_bid;
           incr launched
         end
@@ -447,106 +532,112 @@ let fixed_completion ~cycle ~div lat = cycle + Stdlib.max 1 (lat * div)
 (* Profiler hook for issue-scan failures; [blocked] doubles as the -1
    "cannot issue" completion code so the failure paths below stay
    one-liners. *)
-let note_fail t n cause =
+let note_fail t s cause =
   if t.prof.Profile.enabled then
-    Profile.note_fail t.prof ~cause ~iid:n.instr.Instr.id ~bid:n.dbb.dbb_bid
+    Profile.note_fail t.prof ~cause ~iid:t.n_iid.(s land t.mask)
+      ~bid:(bid_of t s)
 
-let blocked t n cause =
-  note_fail t n cause;
+let blocked t s cause =
+  note_fail t s cause;
   -1
 
-(* Attempt to issue [n] at [cycle]; true on success. *)
+(* Attempt to issue [s] at [cycle]; true on success. *)
 (* Functional units are pipelined: the limit is per-cycle issue
    throughput, tracked in [fu_busy] which resets every cycle.
 
    The completion cycle flows as a plain int with -1 for "cannot issue" —
    this path runs once per instruction, so an option per attempt would be
    a steady allocation drip. *)
-let try_issue t n ~cycle =
-  let cls = Op.classify n.instr.Instr.op in
+let try_issue t s ~cycle =
+  let sl = s land t.mask in
+  let op = t.instr_of_id.(t.n_iid.(sl)).Instr.op in
+  let cls = Op.classify op in
   let ci = Tile_config.class_index cls in
   if t.fu_busy.(ci) >= t.fu_limit_ci.(ci) then begin
-    note_fail t n Stall.Structural;
+    note_fail t s Stall.Structural;
     false
   end
   else begin
     let div = t.cfg.Tile_config.clock_divider in
+    let h = t.n_mao.(sl) and addr = t.n_addr.(sl) in
     let completion =
-      match n.instr.Instr.op with
+      match op with
       | Op.Load _ ->
-          if Mao.can_issue t.mao ~seq:n.seq then begin
+          if Mao.can_issue t.mao h then begin
             t.stats.mem_accesses <- t.stats.mem_accesses + 1;
-            t.comm.mem_access ~tile:t.id ~cycle ~addr:n.addr ~is_write:false
+            t.comm.mem_access ~tile:t.id ~cycle ~addr ~is_write:false
           end
-          else blocked t n Stall.Mao
+          else blocked t s Stall.Mao
       | Op.Store _ ->
-          if Mao.can_issue t.mao ~seq:n.seq then begin
+          if Mao.can_issue t.mao h then begin
             t.stats.mem_accesses <- t.stats.mem_accesses + 1;
-            t.comm.mem_access ~tile:t.id ~cycle ~addr:n.addr ~is_write:true
+            t.comm.mem_access ~tile:t.id ~cycle ~addr ~is_write:true
           end
-          else blocked t n Stall.Mao
+          else blocked t s Stall.Mao
       | Op.Atomic_rmw _ ->
-          if Mao.can_issue t.mao ~seq:n.seq then begin
+          if Mao.can_issue t.mao h then begin
             t.stats.mem_accesses <- t.stats.mem_accesses + 1;
             let base =
-              t.comm.mem_access ~tile:t.id ~cycle ~addr:n.addr ~is_write:true
+              t.comm.mem_access ~tile:t.id ~cycle ~addr ~is_write:true
             in
             base + t.cfg.Tile_config.atomic_extra_latency
           end
-          else blocked t n Stall.Mao
+          else blocked t s Stall.Mao
       | Op.Send chan ->
-          if t.comm.send ~src:t.id ~dst:n.send_dst ~chan ~cycle ~available:cycle
+          if
+            t.comm.send ~src:t.id ~dst:t.n_send_dst.(sl) ~chan ~cycle
+              ~available:cycle
           then fixed_completion ~cycle ~div t.cfg.Tile_config.comm_latency
-          else blocked t n Stall.Supply
+          else blocked t s Stall.Supply
       | Op.Load_send (chan, _) ->
           (* Terminal load: needs an MAO slot, a buffer slot and a free
              miss slot; the core moves on while memory fills the message
              in. *)
-          if Mao.can_issue t.mao ~seq:n.seq then
+          if Mao.can_issue t.mao h then
             if Hierarchy.can_accept t.hier ~tile:t.id ~cycle then begin
               let completion =
-                t.comm.mem_access ~tile:t.id ~cycle ~addr:n.addr
-                  ~is_write:false
+                t.comm.mem_access ~tile:t.id ~cycle ~addr ~is_write:false
               in
               if
-                t.comm.send ~src:t.id ~dst:n.send_dst ~chan ~cycle
+                t.comm.send ~src:t.id ~dst:t.n_send_dst.(sl) ~chan ~cycle
                   ~available:completion
               then begin
                 t.stats.mem_accesses <- t.stats.mem_accesses + 1;
                 (* The core retires the push at once; the LSQ entry drains
                    when memory answers. *)
-                Pqueue.add t.mao_release ~prio:completion n.seq;
+                Pqueue.add t.mao_release ~prio:completion h;
                 fixed_completion ~cycle ~div 1
               end
-              else blocked t n Stall.Supply
+              else blocked t s Stall.Supply
             end
-            else blocked t n Stall.Memory
-          else blocked t n Stall.Mao
+            else blocked t s Stall.Memory
+          else blocked t s Stall.Mao
       | Op.Recv chan -> (
           match t.comm.try_recv ~tile:t.id ~chan ~cycle with
           | Some c -> c
-          | None -> blocked t n Stall.Supply)
+          | None -> blocked t s Stall.Supply)
       | Op.Store_recv (chan, _, rmw) ->
           (* Retire into the store value buffer: commit the channel slot,
              charge the memory write, and move on. Gated on a free miss
              slot so drains respect memory bandwidth. *)
-          if Mao.can_issue t.mao ~seq:n.seq then
+          if Mao.can_issue t.mao h then
             if Hierarchy.can_accept t.hier ~tile:t.id ~cycle then
               if t.comm.take_or_owe ~tile:t.id ~chan then begin
                 t.stats.mem_accesses <- t.stats.mem_accesses + 1;
                 let completion =
-                  t.comm.mem_access ~tile:t.id ~cycle ~addr:n.addr
-                    ~is_write:true
+                  t.comm.mem_access ~tile:t.id ~cycle ~addr ~is_write:true
                 in
-                Pqueue.add t.mao_release ~prio:completion n.seq;
+                Pqueue.add t.mao_release ~prio:completion h;
                 fixed_completion ~cycle ~div
                   (match rmw with Some _ -> 2 | None -> 1)
               end
-              else blocked t n Stall.Supply
-            else blocked t n Stall.Memory
-          else blocked t n Stall.Mao
+              else blocked t s Stall.Supply
+            else blocked t s Stall.Memory
+          else blocked t s Stall.Mao
       | Op.Accel kind ->
-          let r = t.comm.accel ~tile:t.id ~kind ~params:n.accel_params ~cycle in
+          let r =
+            t.comm.accel ~tile:t.id ~kind ~params:t.n_accel.(sl) ~cycle
+          in
           t.stats.energy_pj <- t.stats.energy_pj +. r.energy_pj;
           Stdlib.max (cycle + 1) r.finish_cycle
       | _ -> fixed_completion ~cycle ~div t.latency_ci.(ci)
@@ -554,49 +645,43 @@ let try_issue t n ~cycle =
     if completion < 0 then false
     else begin
       let c = completion in
-      n.state <- Issued;
+      t.n_state.(sl) <- st_issued;
       if Mosaic_obs.Sink.enabled t.sink then
         Mosaic_obs.Sink.emit t.sink ~cycle
           (Mosaic_obs.Event.Instr_issue
-             { tile = t.id; seq = n.seq; cls = Op.class_to_string cls });
+             { tile = t.id; seq = s; cls = Op.class_to_string cls });
       (match t.lat_hist with
-      | Some h when is_mem_node n ->
-          Mosaic_obs.Metrics.observe h (float_of_int (c - cycle))
+      | Some hist when Op.is_mem op ->
+          Mosaic_obs.Metrics.observe hist (float_of_int (c - cycle))
       | _ -> ());
       t.fu_busy.(ci) <- t.fu_busy.(ci) + 1;
       t.stats.issued_by_class.(ci) <- t.stats.issued_by_class.(ci) + 1;
-      Pqueue.add t.events ~prio:(Stdlib.max (cycle + 1) c) n;
+      Pqueue.add t.events ~prio:(Stdlib.max (cycle + 1) c) s;
       true
     end
   end
 
-(* Fold the nodes that became ready since the last scan into the sorted
+(* Fold the seqs that became ready since the last scan into the sorted
    ready list: insertion-sort the (typically tiny) batch, then a single
-   back-to-front in-place merge. *)
+   back-to-front in-place merge. Both arrays have ring capacity: every
+   entry is a distinct ready node inside the window. *)
 let merge_new_ready t =
   if t.stash_len > 0 then begin
     for i = 1 to t.stash_len - 1 do
       let n = t.stash.(i) in
       let j = ref (i - 1) in
-      while !j >= 0 && t.stash.(!j).seq > n.seq do
+      while !j >= 0 && t.stash.(!j) > n do
         t.stash.(!j + 1) <- t.stash.(!j);
         decr j
       done;
       t.stash.(!j + 1) <- n
     done;
     let total = t.ready_len + t.stash_len in
-    if total > Array.length t.ready_arr then begin
-      let cap = ref (Stdlib.max 8 (Array.length t.ready_arr)) in
-      while !cap < total do cap := !cap * 2 done;
-      let grown = Array.make !cap t.stash.(0) in
-      Array.blit t.ready_arr 0 grown 0 t.ready_len;
-      t.ready_arr <- grown
-    end;
     let i = ref (t.ready_len - 1) in
     let j = ref (t.stash_len - 1) in
     let k = ref (total - 1) in
     while !j >= 0 do
-      if !i >= 0 && t.ready_arr.(!i).seq > t.stash.(!j).seq then begin
+      if !i >= 0 && t.ready_arr.(!i) > t.stash.(!j) then begin
         t.ready_arr.(!k) <- t.ready_arr.(!i);
         decr i
       end
@@ -613,7 +698,7 @@ let merge_new_ready t =
 let issue_out_of_order t ~cycle =
   merge_new_ready t;
   let budget = ref t.cfg.Tile_config.issue_width in
-  let window_end = window_start t + t.cfg.Tile_config.window_size in
+  let window_end = t.retire_seq + t.cfg.Tile_config.window_size in
   let scans = ref 0 in
   (* Scan the whole window's worth of ready nodes in seq order: blocked
      older entries must not starve issuable younger ones. Issued nodes are
@@ -623,18 +708,18 @@ let issue_out_of_order t ~cycle =
   let w = ref 0 in
   let continue = ref true in
   while !continue && !r < t.ready_len && !budget > 0 && !scans < scan_budget do
-    let n = t.ready_arr.(!r) in
+    let s = t.ready_arr.(!r) in
     incr scans;
-    if n.seq >= window_end then begin
+    if s >= window_end then begin
       (* Ordered by seq: nothing further fits the window either. *)
-      note_fail t n Stall.Structural;
+      note_fail t s Stall.Structural;
       continue := false
     end
     else begin
       incr r;
-      if try_issue t n ~cycle then decr budget
+      if try_issue t s ~cycle then decr budget
       else begin
-        if !w < !r - 1 then t.ready_arr.(!w) <- n;
+        if !w < !r - 1 then t.ready_arr.(!w) <- s;
         incr w
       end
     end
@@ -646,25 +731,23 @@ let issue_out_of_order t ~cycle =
   end;
   t.cfg.Tile_config.issue_width - !budget
 
+(* In order, the unissued nodes are exactly [issue_seq, next_seq). *)
 let issue_in_order t ~cycle =
   let budget = ref t.cfg.Tile_config.issue_width in
-  let window_end = window_start t + t.cfg.Tile_config.window_size in
+  let window_end = t.retire_seq + t.cfg.Tile_config.window_size in
   let continue = ref true in
   while !continue && !budget > 0 do
-    if Queue.is_empty t.order then continue := false
-    else begin
-      let n = Queue.peek t.order in
-      if n.state <> Ready then continue := false
-      else if n.seq >= window_end then begin
-        note_fail t n Stall.Structural;
-        continue := false
-      end
-      else if try_issue t n ~cycle then begin
-        ignore (Queue.pop t.order);
-        decr budget
-      end
-      else continue := false
+    let s = t.issue_seq in
+    if s >= t.next_seq || state t s <> st_ready then continue := false
+    else if s >= window_end then begin
+      note_fail t s Stall.Structural;
+      continue := false
     end
+    else if try_issue t s ~cycle then begin
+      t.issue_seq <- s + 1;
+      decr budget
+    end
+    else continue := false
   done;
   t.cfg.Tile_config.issue_width - !budget
 
@@ -678,35 +761,29 @@ let issue_in_order t ~cycle =
    per tile-cycle; see DESIGN.md "Cycle accounting". *)
 let classify t ~issued =
   let p = t.prof in
+  let head = t.retire_seq in
   if t.done_ then Profile.book_cause p Stall.Finished
   else if issued >= t.cfg.Tile_config.issue_width then
     Profile.book_cause p Stall.Busy
   else if
-    (not (Queue.is_empty t.inflight))
-    &&
-    let n = Queue.peek t.inflight in
-    n.state = Issued && is_mem_node n
-  then begin
-    let n = Queue.peek t.inflight in
-    Profile.book p ~cause:Stall.Memory ~iid:n.instr.Instr.id
-      ~bid:n.dbb.dbb_bid
-  end
+    (not (window_empty t)) && state t head = st_issued && is_mem_node t head
+  then
+    Profile.book p ~cause:Stall.Memory ~iid:t.n_iid.(head land t.mask)
+      ~bid:(bid_of t head)
   else if Profile.book_fail p then ()
-  else if not (Queue.is_empty t.inflight) then begin
+  else if not (window_empty t) then
     (* Nothing ready and no candidate was turned away: the window head is
        an uncompleted producer somebody is waiting on. *)
-    let n = Queue.peek t.inflight in
-    Profile.book p ~cause:Stall.Dependency ~iid:n.instr.Instr.id
-      ~bid:n.dbb.dbb_bid
-  end
+    Profile.book p ~cause:Stall.Dependency ~iid:t.n_iid.(head land t.mask)
+      ~bid:(bid_of t head)
   else if not t.trace_done then begin
     (* Empty pipeline with trace remaining: the control gate is closed
        (unresolved terminator or misprediction penalty). *)
-    match t.last_term with
-    | Some term ->
-        Profile.book p ~cause:Stall.Branch_redirect ~iid:term.instr.Instr.id
-          ~bid:term.dbb.dbb_bid
-    | None -> Profile.book_cause p Stall.Branch_redirect
+    let term = t.last_term in
+    if term >= 0 then
+      Profile.book p ~cause:Stall.Branch_redirect
+        ~iid:t.n_iid.(term land t.mask) ~bid:(bid_of t term)
+    else Profile.book_cause p Stall.Branch_redirect
   end
   else Profile.book_cause p Stall.Idle
 
@@ -726,8 +803,7 @@ let step t ~cycle =
     in
     if issued > 0 then progress := true;
 
-    if t.trace_done && Queue.is_empty t.inflight && Pqueue.is_empty t.events
-    then begin
+    if t.trace_done && window_empty t && Pqueue.is_empty t.events then begin
       t.done_ <- true;
       t.stats.finish_cycle <- cycle;
       progress := true
@@ -748,11 +824,11 @@ let step t ~cycle =
 let round_up_to ~div c = if div <= 1 then c else (c + div - 1) / div * div
 
 (* Whether the tile holds work the issue stage would look at on its next
-   clock edge: any ready node out of order, the head of the program-order
-   queue when in order. *)
+   clock edge: any ready node out of order, the oldest unissued node when
+   in order. *)
 let has_issue_candidate t =
   if t.cfg.Tile_config.in_order then
-    (not (Queue.is_empty t.order)) && (Queue.peek t.order).state = Ready
+    t.issue_seq < t.next_seq && state t t.issue_seq = st_ready
   else t.ready_len > 0 || t.stash_len > 0
 
 (* The earliest cycle after [cycle] at which this tile's state can change
@@ -778,27 +854,27 @@ let next_event_cycle t ~cycle =
       if
         has_issue_candidate t
         || (t.launch_enabled && not t.trace_done)
-        || not (Queue.is_empty t.inflight)
+        || not (window_empty t)
       then add next_edge
     end
     else begin
       (* The tile took a full step at [cycle] and did nothing, so its work
          is blocked; the only blockers that clear by time alone are the
          branch-misprediction penalty and MSHR miss bandwidth. *)
-      (match t.last_term with
-      | Some term when term.state = Completed ->
-          let next_bid = Trace.Cursor.peek_block_id t.cursor 0 in
-          if next_bid >= 0 && control_gate t ~cycle ~next_bid = gate_wait
-          then begin
-            let penalty =
-              match t.cfg.Tile_config.branch with
-              | Branch.Dynamic { penalty; _ } | Branch.Static { penalty } ->
-                  penalty
-              | Branch.Perfect | Branch.No_speculation -> 0
-            in
-            add (round_up_to ~div (term.complete_cycle + penalty))
-          end
-      | _ -> ());
+      let term = t.last_term in
+      if term >= 0 && is_completed t term then begin
+        let next_bid = Trace.Cursor.peek_block_id t.cursor 0 in
+        if next_bid >= 0 && control_gate t ~cycle ~next_bid = gate_wait
+        then begin
+          let penalty =
+            match t.cfg.Tile_config.branch with
+            | Branch.Dynamic { penalty; _ } | Branch.Static { penalty } ->
+                penalty
+            | Branch.Perfect | Branch.No_speculation -> 0
+          in
+          add (round_up_to ~div (t.n_complete.(term land t.mask) + penalty))
+        end
+      end;
       if
         has_issue_candidate t
         && not (Hierarchy.can_accept t.hier ~tile:t.id ~cycle)
@@ -809,8 +885,8 @@ let next_event_cycle t ~cycle =
     end;
     (* A drained tile flips [done_] only at a clock edge; give it one even
        when no event remains to trigger a wake-up. *)
-    if t.trace_done && Queue.is_empty t.inflight && Pqueue.is_empty t.events
-    then add next_edge;
+    if t.trace_done && window_empty t && Pqueue.is_empty t.events then
+      add next_edge;
     if !best = max_int then None else Some !best
   end
 
@@ -827,7 +903,7 @@ let next_event_cycle t ~cycle =
 let set_launch_enabled t v = t.launch_enabled <- v
 
 let quiescent t =
-  Queue.is_empty t.inflight
+  window_empty t
   && Pqueue.is_empty t.events
   && Pqueue.is_empty t.mao_release
 
@@ -850,51 +926,49 @@ let ff_commit t ~instrs ~dbbs ~mem_accesses ~by_class ~accel_energy_pj =
       energy := !energy +. (float_of_int k *. t.energy_ci.(ci)))
     by_class;
   t.stats.energy_pj <- t.stats.energy_pj +. !energy;
-  Array.fill t.last_writer 0 (Array.length t.last_writer) None;
-  t.last_term <- None;
+  Array.fill t.last_writer 0 (Array.length t.last_writer) (-1);
+  t.last_term <- -1;
   t.pending_mispredict <- false
 
 (* --- Snapshots ---
 
-   Nodes are serialized by sequence number: the live set is everything in
-   the instruction window plus the completed frontier nodes still referenced
-   as register writers or the last terminator (their dependents are cleared
-   at completion, so they dump as leaves). Instruction identity is
-   (block id, position in block) — the static program is rebuilt from the
+   The rings, the edge pool and the window bounds are copied verbatim:
+   slots are fixed by [seq land mask] and seqs are absolute, so the
+   restored tile addresses exactly the same state, including stale slots
+   below the window that nothing reads. Instruction identity is the
+   static instruction id — the static program is rebuilt from the
    workload on restore, never serialized. *)
-
-type node_dump = {
-  nd_seq : int;
-  nd_dbb : int;  (** dbb_seq of the owning dynamic block *)
-  nd_idx : int;  (** position within the block *)
-  nd_parents_left : int;
-  nd_state : int;
-  nd_dependents : int array;
-  nd_addr : int;
-  nd_accel_params : Value.t array;
-  nd_send_dst : int;
-  nd_complete_cycle : int;
-}
-
-type dbb_dump = { bd_seq : int; bd_bid : int; bd_incomplete : int }
 
 type dump = {
   d_cursor : Trace.Cursor.dump;
-  d_nodes : node_dump array;
-  d_dbbs : dbb_dump array;
-  d_inflight : int array;
-  d_order : int array;
+  d_iid : int array;
+  d_dbb : int array;
+  d_parents : int array;
+  d_state : int array;
+  d_deps : int array;
+  d_addr : int array;
+  d_mao_handle : int array;
+  d_send_dst : int array;
+  d_complete : int array;
+  d_accel : Value.t array array;
+  d_dbb_bid : int array;
+  d_dbb_left : int array;
+  d_e_dst : int array;
+  d_e_next : int array;
+  d_e_free : int;
+  d_retire_seq : int;
+  d_issue_seq : int;
+  d_next_seq : int;
   d_ready : int array;
   d_stash : int array;
   d_events : int Pqueue.dump;
   d_mao : Mao.dump;
   d_mao_release : int Pqueue.dump;
-  d_last_writer : int array;  (** per register: writer seq or -1 *)
+  d_last_writer : int array;
   d_fu_busy : int array;
-  d_next_seq : int;
   d_live_dbbs : int;
   d_live_per_bb : int array;
-  d_last_term : int;  (** seq or -1 *)
+  d_last_term : int;
   d_predictor : Predictor.dump option;
   d_pending_mispredict : bool;
   d_trace_done : bool;
@@ -908,83 +982,37 @@ type dump = {
   d_lat_hist : Mosaic_obs.Metrics.hist_dump option;
 }
 
-let state_code = function Waiting -> 0 | Ready -> 1 | Issued -> 2 | Completed -> 3
-
-let state_of_code = function
-  | 0 -> Waiting
-  | 1 -> Ready
-  | 2 -> Issued
-  | 3 -> Completed
-  | c -> invalid_arg (Printf.sprintf "Core_tile: bad node state code %d" c)
-
 let dump t =
-  let tbl : (int, node) Hashtbl.t = Hashtbl.create 256 in
-  let add n = if not (Hashtbl.mem tbl n.seq) then Hashtbl.replace tbl n.seq n in
-  Queue.iter add t.inflight;
-  Queue.iter add t.order;
-  for i = 0 to t.ready_len - 1 do add t.ready_arr.(i) done;
-  for i = 0 to t.stash_len - 1 do add t.stash.(i) done;
-  Array.iter (function Some n -> add n | None -> ()) t.last_writer;
-  (match t.last_term with Some n -> add n | None -> ());
-  let events = Pqueue.map_dump (fun n -> add n; n.seq) (Pqueue.dump t.events) in
-  let nodes =
-    Hashtbl.fold (fun _ n acc -> n :: acc) tbl []
-    |> List.sort (fun a b -> compare a.seq b.seq)
-    |> Array.of_list
-  in
-  let dbbs : (int, dbb) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun n ->
-      if not (Hashtbl.mem dbbs n.dbb.dbb_seq) then
-        Hashtbl.replace dbbs n.dbb.dbb_seq n.dbb)
-    nodes;
-  let queue_seqs q =
-    let out = Array.make (Queue.length q) 0 in
-    let i = ref 0 in
-    Queue.iter (fun n -> out.(!i) <- n.seq; incr i) q;
-    out
-  in
   {
     d_cursor = Trace.Cursor.dump t.cursor;
-    d_nodes =
-      Array.map
-        (fun n ->
-          {
-            nd_seq = n.seq;
-            nd_dbb = n.dbb.dbb_seq;
-            nd_idx = t.pos_of_id.(n.instr.Instr.id);
-            nd_parents_left = n.parents_left;
-            nd_state = state_code n.state;
-            nd_dependents =
-              Array.of_list (List.map (fun d -> d.seq) n.dependents);
-            nd_addr = n.addr;
-            nd_accel_params = Array.copy n.accel_params;
-            nd_send_dst = n.send_dst;
-            nd_complete_cycle = n.complete_cycle;
-          })
-        nodes;
-    d_dbbs =
-      Hashtbl.fold
-        (fun _ b acc ->
-          { bd_seq = b.dbb_seq; bd_bid = b.dbb_bid; bd_incomplete = b.incomplete }
-          :: acc)
-        dbbs []
-      |> List.sort (fun a b -> compare a.bd_seq b.bd_seq)
-      |> Array.of_list;
-    d_inflight = queue_seqs t.inflight;
-    d_order = queue_seqs t.order;
-    d_ready = Array.init t.ready_len (fun i -> t.ready_arr.(i).seq);
-    d_stash = Array.init t.stash_len (fun i -> t.stash.(i).seq);
-    d_events = events;
+    d_iid = Array.copy t.n_iid;
+    d_dbb = Array.copy t.n_dbb;
+    d_parents = Array.copy t.n_parents;
+    d_state = Array.copy t.n_state;
+    d_deps = Array.copy t.n_deps;
+    d_addr = Array.copy t.n_addr;
+    d_mao_handle = Array.copy t.n_mao;
+    d_send_dst = Array.copy t.n_send_dst;
+    d_complete = Array.copy t.n_complete;
+    d_accel = Array.map Array.copy t.n_accel;
+    d_dbb_bid = Array.copy t.dbb_bid;
+    d_dbb_left = Array.copy t.dbb_left;
+    d_e_dst = Array.copy t.e_dst;
+    d_e_next = Array.copy t.e_next;
+    d_e_free = t.e_free;
+    d_retire_seq = t.retire_seq;
+    d_issue_seq = t.issue_seq;
+    d_next_seq = t.next_seq;
+    d_ready = Array.sub t.ready_arr 0 t.ready_len;
+    d_stash = Array.sub t.stash 0 t.stash_len;
+    d_events = Pqueue.dump t.events;
     d_mao = Mao.dump t.mao;
     d_mao_release = Pqueue.dump t.mao_release;
-    d_last_writer =
-      Array.map (function Some n -> n.seq | None -> -1) t.last_writer;
+    d_last_writer = Array.copy t.last_writer;
     d_fu_busy = Array.copy t.fu_busy;
-    d_next_seq = t.next_seq;
     d_live_dbbs = t.live_dbbs;
     d_live_per_bb = Array.copy t.live_per_bb;
-    d_last_term = (match t.last_term with Some n -> n.seq | None -> -1);
+    d_last_term = t.last_term;
     d_predictor = Option.map Predictor.dump t.predictor;
     d_pending_mispredict = t.pending_mispredict;
     d_trace_done = t.trace_done;
@@ -1006,68 +1034,56 @@ let restore t d =
     invalid_arg "Core_tile.restore: register-file size mismatch";
   if Array.length d.d_live_per_bb <> Array.length t.live_per_bb then
     invalid_arg "Core_tile.restore: block count mismatch";
+  let cap = t.mask + 1 in
+  if
+    List.exists
+      (fun a -> Array.length a <> cap)
+      [
+        d.d_iid; d.d_dbb; d.d_parents; d.d_state; d.d_deps; d.d_addr;
+        d.d_mao_handle; d.d_send_dst; d.d_complete; d.d_dbb_bid; d.d_dbb_left;
+      ]
+    || Array.length d.d_accel <> cap
+    || Array.length d.d_e_dst <> Array.length d.d_e_next
+    || d.d_next_seq - d.d_retire_seq > cap
+    || Array.length d.d_ready + Array.length d.d_stash > cap
+  then invalid_arg "Core_tile.restore: instruction-window shape mismatch";
+  for s = d.d_retire_seq to d.d_next_seq - 1 do
+    let iid = d.d_iid.(s land t.mask) in
+    if iid < 0 || iid >= Array.length t.instr_of_id then
+      invalid_arg "Core_tile.restore: node names an unknown instruction"
+  done;
   Trace.Cursor.restore t.cursor d.d_cursor;
-  let dbbs : (int, dbb) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun b ->
-      Hashtbl.replace dbbs b.bd_seq
-        { dbb_seq = b.bd_seq; dbb_bid = b.bd_bid; incomplete = b.bd_incomplete })
-    d.d_dbbs;
-  let nodes : (int, node) Hashtbl.t = Hashtbl.create 256 in
-  Array.iter
-    (fun nd ->
-      let dbb =
-        match Hashtbl.find_opt dbbs nd.nd_dbb with
-        | Some b -> b
-        | None -> invalid_arg "Core_tile.restore: node references unknown DBB"
-      in
-      let blk = Func.block t.func dbb.dbb_bid in
-      if nd.nd_idx < 0 || nd.nd_idx >= Array.length blk.Func.instrs then
-        invalid_arg "Core_tile.restore: node index out of block range";
-      Hashtbl.replace nodes nd.nd_seq
-        {
-          seq = nd.nd_seq;
-          instr = blk.Func.instrs.(nd.nd_idx);
-          dbb;
-          parents_left = nd.nd_parents_left;
-          state = state_of_code nd.nd_state;
-          dependents = [];
-          addr = nd.nd_addr;
-          accel_params = Array.copy nd.nd_accel_params;
-          send_dst = nd.nd_send_dst;
-          complete_cycle = nd.nd_complete_cycle;
-        })
-    d.d_nodes;
-  let node seq =
-    match Hashtbl.find_opt nodes seq with
-    | Some n -> n
-    | None ->
-        invalid_arg (Printf.sprintf "Core_tile.restore: unknown node %d" seq)
-  in
-  Array.iter
-    (fun nd ->
-      let n = node nd.nd_seq in
-      n.dependents <- Array.to_list (Array.map node nd.nd_dependents))
-    d.d_nodes;
-  Queue.clear t.inflight;
-  Array.iter (fun s -> Queue.add (node s) t.inflight) d.d_inflight;
-  Queue.clear t.order;
-  Array.iter (fun s -> Queue.add (node s) t.order) d.d_order;
-  t.ready_arr <- Array.map node d.d_ready;
+  let blit src dst = Array.blit src 0 dst 0 (Array.length dst) in
+  blit d.d_iid t.n_iid;
+  blit d.d_dbb t.n_dbb;
+  blit d.d_parents t.n_parents;
+  blit d.d_state t.n_state;
+  blit d.d_deps t.n_deps;
+  blit d.d_addr t.n_addr;
+  blit d.d_mao_handle t.n_mao;
+  blit d.d_send_dst t.n_send_dst;
+  blit d.d_complete t.n_complete;
+  Array.iteri (fun i a -> t.n_accel.(i) <- Array.copy a) d.d_accel;
+  blit d.d_dbb_bid t.dbb_bid;
+  blit d.d_dbb_left t.dbb_left;
+  t.e_dst <- Array.copy d.d_e_dst;
+  t.e_next <- Array.copy d.d_e_next;
+  t.e_free <- d.d_e_free;
+  t.retire_seq <- d.d_retire_seq;
+  t.issue_seq <- d.d_issue_seq;
+  t.next_seq <- d.d_next_seq;
+  Array.blit d.d_ready 0 t.ready_arr 0 (Array.length d.d_ready);
   t.ready_len <- Array.length d.d_ready;
-  t.stash <- Array.map node d.d_stash;
+  Array.blit d.d_stash 0 t.stash 0 (Array.length d.d_stash);
   t.stash_len <- Array.length d.d_stash;
-  Pqueue.restore t.events (Pqueue.map_dump node d.d_events);
+  Pqueue.restore t.events d.d_events;
   Mao.restore t.mao d.d_mao;
   Pqueue.restore t.mao_release d.d_mao_release;
-  Array.iteri
-    (fun r s -> t.last_writer.(r) <- (if s < 0 then None else Some (node s)))
-    d.d_last_writer;
-  Array.blit d.d_fu_busy 0 t.fu_busy 0 (Array.length t.fu_busy);
-  t.next_seq <- d.d_next_seq;
+  blit d.d_last_writer t.last_writer;
+  blit d.d_fu_busy t.fu_busy;
   t.live_dbbs <- d.d_live_dbbs;
-  Array.blit d.d_live_per_bb 0 t.live_per_bb 0 (Array.length t.live_per_bb);
-  t.last_term <- (if d.d_last_term < 0 then None else Some (node d.d_last_term));
+  blit d.d_live_per_bb t.live_per_bb;
+  t.last_term <- d.d_last_term;
   (match (t.predictor, d.d_predictor) with
   | Some p, Some pd -> Predictor.restore p pd
   | None, None -> ()

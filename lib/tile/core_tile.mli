@@ -137,11 +137,13 @@ val ff_commit :
   accel_energy_pj:float ->
   unit
 
-(** {1 Snapshots} — the full timing state of the tile: the dynamic node
-    graph keyed by sequence number, scheduler queues, MAO, predictor,
-    profile and counters. The static program is rebuilt from the workload
-    on restore, never serialized. [restore] raises [Invalid_argument] when
-    the dump does not match the tile's program or configuration shape. *)
+(** {1 Snapshots} — the full timing state of the tile: the node and DBB
+    rings, dependence-edge pool and window bounds verbatim, scheduler
+    queues, MAO, predictor, profile and counters. The static program is
+    rebuilt from the workload on restore, never serialized. [restore]
+    raises [Invalid_argument] when the dump does not match the tile's
+    program or configuration shape (register count, block count, ring
+    capacity). *)
 
 type dump
 

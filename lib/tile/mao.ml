@@ -1,17 +1,19 @@
-module Int_table = Mosaic_util.Int_table
-
 type kind = K_load | K_store
+type handle = int
 
 (* Entries live in a struct-of-arrays ring indexed by absolute position
    (monotonically increasing; slot = position land mask). The previous
    implementation kept an [entry list] with an O(n) append per insert and a
    list rebuild per prune — on the issue path of every memory node. The
    ring appends in O(1), prunes by advancing [head], and [can_issue] scans
-   the live window over flat arrays. *)
+   the live window over flat arrays.
+
+   A handle is the absolute position itself, so callers address an entry
+   without a seq -> position lookup, whose hash table would cost a
+   cache-cold probe per query. *)
 type t = {
   capacity : int;
   perfect_alias : bool;
-  mutable seqs : int array;
   mutable stores : bool array;  (** kind, unpacked: true = store *)
   mutable addrs : int array;
   mutable sizes : int array;
@@ -19,7 +21,7 @@ type t = {
   mutable completed : bool array;
   mutable head : int;  (** absolute index of the oldest retained entry *)
   mutable tail : int;  (** absolute index one past the newest *)
-  index : Int_table.t;  (** seq -> absolute index, pruned entries removed *)
+  mutable last_seq : int;  (** seq of the newest insert, for the order check *)
   mutable stall_count : int;
   (* Snapshot of the live window for [can_issue]: ascending absolute
      positions of live (non-completed) entries, and of the live stores
@@ -41,7 +43,6 @@ let create ~capacity ~perfect_alias =
   {
     capacity;
     perfect_alias;
-    seqs = Array.make initial_ring 0;
     stores = Array.make initial_ring false;
     addrs = Array.make initial_ring 0;
     sizes = Array.make initial_ring 0;
@@ -49,7 +50,7 @@ let create ~capacity ~perfect_alias =
     completed = Array.make initial_ring false;
     head = 0;
     tail = 0;
-    index = Int_table.create ~initial_capacity:initial_ring ();
+    last_seq = min_int;
     stall_count = 0;
     snap_live = Array.make initial_ring 0;
     snap_nlive = 0;
@@ -58,36 +59,32 @@ let create ~capacity ~perfect_alias =
     snap_dirty = true;
   }
 
-let mask t = Array.length t.seqs - 1
+let mask t = Array.length t.stores - 1
 
 let prune t =
   let m = mask t in
   while t.head < t.tail && t.completed.(t.head land m) do
-    Int_table.remove t.index t.seqs.(t.head land m);
     t.head <- t.head + 1
   done
 
 let grow t =
-  let old_len = Array.length t.seqs in
+  let old_len = Array.length t.stores in
   let old_mask = old_len - 1 in
   let len = old_len * 2 in
   let m = len - 1 in
-  let seqs = Array.make len 0
-  and stores = Array.make len false
+  let stores = Array.make len false
   and addrs = Array.make len 0
   and sizes = Array.make len 0
   and resolved = Array.make len false
   and completed = Array.make len false in
   for a = t.head to t.tail - 1 do
     let src = a land old_mask and dst = a land m in
-    seqs.(dst) <- t.seqs.(src);
     stores.(dst) <- t.stores.(src);
     addrs.(dst) <- t.addrs.(src);
     sizes.(dst) <- t.sizes.(src);
     resolved.(dst) <- t.resolved.(src);
     completed.(dst) <- t.completed.(src)
   done;
-  t.seqs <- seqs;
   t.stores <- stores;
   t.addrs <- addrs;
   t.sizes <- sizes;
@@ -95,26 +92,30 @@ let grow t =
   t.completed <- completed
 
 let insert t ~seq ~kind ~addr ~size =
-  if Int_table.mem t.index seq then
-    invalid_arg (Printf.sprintf "Mao.insert: duplicate seq %d" seq);
-  if t.tail - t.head = Array.length t.seqs then grow t;
-  let s = t.tail land mask t in
-  t.seqs.(s) <- seq;
+  if seq <= t.last_seq then
+    invalid_arg
+      (Printf.sprintf "Mao.insert: seq %d does not follow seq %d" seq
+         t.last_seq);
+  t.last_seq <- seq;
+  if t.tail - t.head = Array.length t.stores then grow t;
+  let h = t.tail in
+  let s = h land mask t in
   t.stores.(s) <- (kind = K_store);
   t.addrs.(s) <- addr;
   t.sizes.(s) <- size;
   t.resolved.(s) <- t.perfect_alias;
   t.completed.(s) <- false;
-  Int_table.set t.index seq t.tail;
-  t.tail <- t.tail + 1;
-  t.snap_dirty <- true
+  t.tail <- h + 1;
+  t.snap_dirty <- true;
+  h
 
-let find t seq =
-  let a = Int_table.find t.index seq ~default:min_int in
-  if a = min_int then invalid_arg (Printf.sprintf "Mao: unknown seq %d" seq);
-  a
+(* Slot of a retained entry; pruned or never-issued handles are bugs. *)
+let slot t h =
+  if h < t.head || h >= t.tail then
+    invalid_arg (Printf.sprintf "Mao: unknown handle %d" h);
+  h land mask t
 
-let resolve t ~seq = t.resolved.(find t seq land mask t) <- true
+let resolve t h = t.resolved.(slot t h) <- true
 
 let overlaps t i j =
   t.addrs.(i) < t.addrs.(j) + t.sizes.(j)
@@ -152,12 +153,11 @@ let rebuild_snapshot t =
   t.snap_nstores <- !ns;
   t.snap_dirty <- false
 
-let can_issue t ~seq =
+let can_issue t me_abs =
   prune t;
   if t.snap_dirty then rebuild_snapshot t;
-  let me_abs = find t seq in
+  let me = slot t me_abs in
   let m = mask t in
-  let me = me_abs land m in
   let me_load = not t.stores.(me) in
   (* Rank of [me] among live entries = its index in the ascending
      snapshot (binary search; [me] is live, so it is present). *)
@@ -186,8 +186,8 @@ let can_issue t ~seq =
   if not ok then t.stall_count <- t.stall_count + 1;
   ok
 
-let complete t ~seq =
-  t.completed.(find t seq land mask t) <- true;
+let complete t h =
+  t.completed.(slot t h) <- true;
   t.snap_dirty <- true;
   prune t
 
@@ -205,12 +205,12 @@ let stalls t = t.stall_count
 (* --- Snapshot support ---
 
    Ring arrays verbatim (slot = abs land mask, so layout is fixed by
-   [head]/[tail] and array length) plus the seq index table. The lazy
+   [head]/[tail] and array length); handles held by the tile stay valid
+   across a restore because they are absolute positions. The lazy
    [can_issue] snapshot is not dumped: restore marks it dirty and it is
    rebuilt deterministically on first use. *)
 
 type dump = {
-  d_seqs : int array;
   d_stores : bool array;
   d_addrs : int array;
   d_sizes : int array;
@@ -218,13 +218,12 @@ type dump = {
   d_completed : bool array;
   d_head : int;
   d_tail : int;
-  d_index : Int_table.dump;
+  d_last_seq : int;
   d_stall_count : int;
 }
 
 let dump t =
   {
-    d_seqs = Array.copy t.seqs;
     d_stores = Array.copy t.stores;
     d_addrs = Array.copy t.addrs;
     d_sizes = Array.copy t.sizes;
@@ -232,12 +231,11 @@ let dump t =
     d_completed = Array.copy t.completed;
     d_head = t.head;
     d_tail = t.tail;
-    d_index = Int_table.dump t.index;
+    d_last_seq = t.last_seq;
     d_stall_count = t.stall_count;
   }
 
 let restore t d =
-  t.seqs <- Array.copy d.d_seqs;
   t.stores <- Array.copy d.d_stores;
   t.addrs <- Array.copy d.d_addrs;
   t.sizes <- Array.copy d.d_sizes;
@@ -245,6 +243,6 @@ let restore t d =
   t.completed <- Array.copy d.d_completed;
   t.head <- d.d_head;
   t.tail <- d.d_tail;
-  Int_table.restore t.index d.d_index;
+  t.last_seq <- d.d_last_seq;
   t.stall_count <- d.d_stall_count;
   t.snap_dirty <- true

@@ -324,6 +324,11 @@ module Cursor = struct
       Some b
     end
 
+  (* [next_block] without the [Some]: the launch path peeks the id first
+     and only needs the cursor moved. *)
+  let advance_block c =
+    if c.bb_pos < Array.length c.tt.bb_path then c.bb_pos <- c.bb_pos + 1
+
   let peek_block c k =
     let pos = c.bb_pos + k in
     if pos >= Array.length c.tt.bb_path then None else Some c.tt.bb_path.(pos)

@@ -4,12 +4,13 @@
    directory line -> sharer mask, interleaver (dst, chan) -> debt) used
    polymorphic [Hashtbl]s, which allocate on every [find_opt] and hash
    tuple keys with the generic hasher. This table is monomorphic and
-   allocation-free on every operation except growth: lookups return a
+   allocation-free on every operation except rehashing: lookups return a
    caller-supplied default instead of an option, and iteration walks the
    backing arrays directly.
 
    Linear probing over a power-of-two capacity; deleted slots leave
-   tombstones that are squeezed out on the next rehash. *)
+   tombstones that are squeezed out on the next rehash, which keeps the
+   capacity when fewer than a quarter of the slots are live. *)
 
 (* Reserved key sentinels. Simulator keys (addresses, packed ids) are
    non-negative, so the two most negative ints are safe markers. *)
@@ -75,9 +76,11 @@ let find t k ~default =
   let i = probe t k in
   if i < 0 then default else t.vals.(i)
 
-let rec grow t =
+let capacity t = t.mask + 1
+
+(* Rebuild into [cap] slots, squeezing out tombstones. *)
+let rec rehash t cap =
   let old_keys = t.keys and old_vals = t.vals in
-  let cap = (t.mask + 1) * 2 in
   t.keys <- Array.make cap empty_key;
   t.vals <- Array.make cap 0;
   t.mask <- cap - 1;
@@ -107,7 +110,13 @@ and set t k v =
       t.keys.(dest) <- k;
       t.vals.(dest) <- v;
       t.len <- t.len + 1;
-      if (t.len + t.tombs) * 2 > t.mask + 1 then grow t;
+      (* Past half full counting tombstones: double only when live
+         entries need the room. A sliding window of keys (inserted in
+         order, removed in order) is mostly tombstones, and doubling on
+         those grew the table with the number of keys ever inserted. *)
+      if (t.len + t.tombs) * 2 > capacity t then
+        rehash t
+          (if t.len * 4 < capacity t then capacity t else 2 * capacity t);
       continue := false
     end
     else begin

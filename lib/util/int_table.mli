@@ -1,6 +1,6 @@
 (** Open-addressing int-to-int hash table for the simulator's hot paths.
 
-    Monomorphic and allocation-free on every operation except growth:
+    Monomorphic and allocation-free on every operation except rehashing:
     lookups return a caller-supplied default instead of allocating an
     option, [add] performs read-modify-write in a single probe, and
     [iter]/[fold] walk the backing arrays without building lists.
@@ -15,6 +15,11 @@ val create : ?initial_capacity:int -> unit -> t
 (** Number of live entries. *)
 val length : t -> int
 
+(** Number of slots (a power of two). Doubles only when live entries pass
+    a quarter of it at a rehash, so a table whose live set stays small
+    keeps a small capacity however many keys pass through it. *)
+val capacity : t -> int
+
 val mem : t -> int -> bool
 
 (** [find t k ~default] is [k]'s value, or [default] when absent. *)
@@ -28,7 +33,7 @@ val set : t -> int -> int -> unit
 val add : t -> int -> int -> int
 
 (** Remove [k] if present (leaves a tombstone reclaimed at the next
-    growth). *)
+    rehash). *)
 val remove : t -> int -> unit
 
 (** {1 Slot-level access}

@@ -164,8 +164,6 @@ let of_dump d =
     next_seq = d.d_next_seq;
   }
 
-let map_dump f d = { d with d_payloads = Array.map f d.d_payloads }
-
 let restore q d =
   q.prios <- Array.copy d.d_prios;
   q.seqs <- Array.copy d.d_seqs;

@@ -59,8 +59,7 @@ val to_list : 'a t -> (int * 'a) list
     A {!dump} is a pure-data image of the queue: the live heap slots in
     array (= heap) order plus the FIFO tie-break counter. [of_dump]
     rebuilds a queue that behaves identically to the dumped one — heap
-    order and tie-breaking do not depend on spare capacity. [map_dump]
-    converts payloads (e.g. node pointers to stable ids and back). *)
+    order and tie-breaking do not depend on spare capacity. *)
 
 type 'a dump = {
   d_prios : int array;
@@ -71,7 +70,6 @@ type 'a dump = {
 
 val dump : 'a t -> 'a dump
 val of_dump : 'a dump -> 'a t
-val map_dump : ('a -> 'b) -> 'a dump -> 'b dump
 
 (** [restore q d] overwrites [q] in place with [d]'s contents. *)
 val restore : 'a t -> 'a dump -> unit

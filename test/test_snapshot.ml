@@ -239,6 +239,36 @@ let test_container () =
       Bytes.set bad_version 4 '\xff';
       expect_format "unsupported version" bad_version)
 
+(* The node-ring layout changed the dump records, so containers written
+   with the version-1 layout must be refused by name, not unmarshalled
+   into the new record types. *)
+let test_rejects_v1 () =
+  checki "current version" 2 Snapshot.format_version;
+  let inst = W.Micro.stream ~seed:5 ~elems:128 () in
+  let trace = W.Runner.trace inst ~ntiles:1 in
+  let snap = ref None in
+  let _ =
+    Soc.run_homogeneous ~checkpoint_at:50
+      ~on_checkpoint:(fun s -> snap := Some s)
+      Mosaic.Presets.xeon_soc ~program:inst.W.Runner.program ~trace
+      ~tile_config:TC.out_of_order
+  in
+  let bytes = Snapshot.to_bytes (Option.get !snap) in
+  Bytes.set bytes (String.length Snapshot.magic) '\001';
+  match Snapshot.of_bytes bytes with
+  | (_ : Snapshot.t) -> Alcotest.fail "version-1 container accepted"
+  | exception Snapshot.Format_error msg ->
+      let mentions sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length msg
+          && (String.sub msg i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      checkb ("names version 1: " ^ msg) true (mentions "version 1");
+      checkb ("names version 2: " ^ msg) true (mentions "version 2")
+
 (* Interval sampling sanity: the sampled run completes every instruction,
    reports a plausible estimate (deterministically), and rejects malformed
    specs. Accuracy at scale is measured in the bench suite against the
@@ -310,6 +340,7 @@ let suite =
           test_resume_validation;
         Alcotest.test_case "container rejects corrupt/truncated" `Quick
           test_container;
+        Alcotest.test_case "container rejects version 1" `Quick test_rejects_v1;
         Alcotest.test_case "interval sampling sanity" `Quick test_sampling;
       ] );
   ]

@@ -261,6 +261,22 @@ let test_int_table_growth () =
     check "survives growth" i (Int_table.find t (i * 17) ~default:(-1))
   done
 
+(* Keys inserted in order and removed in order, as the cache MSHRs and the
+   dirty-line sets use them: tombstones pile up, but with at most 128 keys
+   live the table must rehash in place rather than keep doubling. *)
+let test_int_table_sliding_window () =
+  let t = Int_table.create () in
+  let window = 128 in
+  for k = 0 to 1_000_000 - 1 do
+    Int_table.set t k k;
+    if k >= window - 1 then Int_table.remove t (k - window + 1)
+  done;
+  check "live" (window - 1) (Int_table.length t);
+  checkb
+    (Printf.sprintf "capacity %d <= 1024" (Int_table.capacity t))
+    true
+    (Int_table.capacity t <= 1024)
+
 let test_int_table_reserved_keys () =
   let t = Int_table.create () in
   Alcotest.check_raises "min_int"
@@ -451,6 +467,8 @@ let suite =
         Alcotest.test_case "set/find/add/remove" `Quick test_int_table_basic;
         Alcotest.test_case "slot access" `Quick test_int_table_slots;
         Alcotest.test_case "growth keeps entries" `Quick test_int_table_growth;
+        Alcotest.test_case "sliding window keeps capacity" `Quick
+          test_int_table_sliding_window;
         Alcotest.test_case "reserved keys rejected" `Quick
           test_int_table_reserved_keys;
         QCheck_alcotest.to_alcotest prop_int_table_model;
