@@ -94,12 +94,6 @@ let run_parboil name =
 (* Set from --jobs=N before any section runs. *)
 let jobs = ref 1
 
-(* Set from --shards=N: shard count for the intra-run parallelism section
-   of the speed suite; 0 means auto (2). Explicitly requesting both
-   --jobs > 1 and --shards > 1 is refused — a batch of sharded runs would
-   spawn jobs*shards domains and oversubscribe. *)
-let shards = ref 0
-
 let parboil_results =
   lazy
     (W.Runner.run_batch ~jobs:!jobs
@@ -820,86 +814,6 @@ let speed () =
        sample_rows);
   Printf.printf "sampled geomean speedup: %.2fx; max cycle error %.2f%%\n\n"
     sample_geomean sample_max_err;
-  (* Intra-run parallelism: the same multi-tile SoC simulated serially and
-     sharded across domains. Cycles (and every counter) must be
-     bit-identical — the speedup column is the only thing allowed to
-     move, and only on hosts with free cores. *)
-  let nshards = if !shards >= 1 then !shards else 2 in
-  let cores_avail = Mosaic_util.Domain_pool.available_cores () in
-  gauge "speed.shard.shards" (float_of_int nshards);
-  gauge "speed.shard.available_cores" (float_of_int cores_avail);
-  if cores_avail < 2 then
-    (* The "host" member written alongside the metrics records the core
-       count, so readers of the baseline file can tell determinism checks
-       from performance data without an ad-hoc marker gauge. *)
-    Printf.printf
-      "note: host reports %d available core(s); sharded runs verify \
-       determinism here but cannot speed up — shard speedups below are \
-       expected to be < 1 (the host.cores member in %s records this).\n"
-      cores_avail speed_json_file;
-  let shard_rows =
-    List.map
-      (fun (e : Mosaic_suite.Shard_suite.entry) ->
-        let serial = e.run ~shards:1 in
-        let sharded = e.run ~shards:nshards in
-        if serial.Soc.cycles <> sharded.Soc.cycles then
-          failwith
-            (Printf.sprintf
-               "shard determinism violated on %s: serial %d cycles, \
-                shards:%d %d cycles"
-               e.name serial.Soc.cycles nshards sharded.Soc.cycles);
-        let speedup =
-          if sharded.Soc.host_seconds > 0.0 then
-            serial.Soc.host_seconds /. sharded.Soc.host_seconds
-          else Float.infinity
-        in
-        (e, serial, sharded, speedup))
-      Mosaic_suite.Shard_suite.entries
-  in
-  List.iter
-    (fun ((e : Mosaic_suite.Shard_suite.entry), (serial : Soc.result),
-          (sharded : Soc.result), speedup) ->
-      let p suffix = Printf.sprintf "speed.shard.%s.%s" e.name suffix in
-      gauge (p "serial_seconds") serial.Soc.host_seconds;
-      gauge (p "sharded_seconds") sharded.Soc.host_seconds;
-      gauge (p "speedup") speedup;
-      gauge (p "cycles") (float_of_int sharded.Soc.cycles))
-    shard_rows;
-  let shard_geomean =
-    exp
-      (Stats.mean
-         (List.map (fun (_, _, _, s) -> log (Stdlib.max s 1e-9)) shard_rows))
-  in
-  gauge "speed.shard.speedup" shard_geomean;
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "Intra-run sharding: one SoC across %d domains (%d host cores), \
-          bit-identical cycles"
-         nshards cores_avail)
-    ~columns:
-      [
-        Table.column ~align:Table.Left "workload";
-        Table.column "tiles";
-        Table.column "cycles";
-        Table.column "serial s";
-        Table.column "sharded s";
-        Table.column "speedup";
-      ]
-    (List.map
-       (fun ((e : Mosaic_suite.Shard_suite.entry), serial, sharded, speedup) ->
-         ignore (serial : Soc.result);
-         [
-           e.name;
-           icell e.ntiles;
-           icell (sharded : Soc.result).Soc.cycles;
-           fcell ~decimals:3 serial.Soc.host_seconds;
-           fcell ~decimals:3 sharded.Soc.host_seconds;
-           fcell speedup;
-         ])
-       shard_rows);
-  Printf.printf "shard geomean speedup: %.2fx (%d shards, %d cores)\n\n"
-    shard_geomean nshards cores_avail;
   (* Profiler overhead: the same run with cycle accounting on vs off.
      Simulated cycles must be bit-identical (the profiler only observes);
      the ratio records how much host time the attribution costs. *)
@@ -1392,12 +1306,6 @@ let () =
           | _ -> failwith (Printf.sprintf "bad --jobs value: %s" a));
           false
         end
-        else if String.starts_with ~prefix:"--shards=" a then begin
-          (match int_of_string_opt (String.sub a 9 (String.length a - 9)) with
-          | Some n when n >= 1 -> shards := n
-          | _ -> failwith (Printf.sprintf "bad --shards value: %s" a));
-          false
-        end
         else if String.starts_with ~prefix:"--manifest=" a then begin
           (match String.sub a 11 (String.length a - 11) with
           | "" -> failwith "bad --manifest value: empty path"
@@ -1425,13 +1333,6 @@ let () =
         else Either.Right a)
       args
   in
-  if !jobs > 1 && !shards > 1 then
-    failwith
-      (Printf.sprintf
-         "--jobs=%d and --shards=%d both parallelize (jobs*shards domains \
-          would oversubscribe the host); pass --shards=1 to keep the batch \
-          pool, or --jobs=1 to measure intra-run sharding"
-         !jobs !shards);
   let requested =
     match names with [] -> List.map fst sections | ns -> ns
   in

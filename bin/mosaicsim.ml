@@ -8,15 +8,37 @@ module Presets = Mosaic.Presets
 module Tile_config = Mosaic_tile.Tile_config
 module Table = Mosaic_util.Table
 
+(* BENCH is either a registry name or a readable `.mir` workload file;
+   anything else is a usage error before any work starts. *)
+let bench_conv =
+  let parse s =
+    if Filename.check_suffix s ".mir" then
+      match open_in_bin s with
+      | ic ->
+          close_in ic;
+          Ok s
+      | exception Sys_error _ ->
+          Error (`Msg (Printf.sprintf "cannot read workload file '%s'" s))
+    else if List.mem s W.Registry.all_names then Ok s
+    else
+      Error
+        (`Msg
+           (Printf.sprintf
+              "unknown benchmark '%s' (see the list command, or pass a .mir \
+               file)"
+              s))
+  in
+  Arg.conv ~docv:"BENCH" (parse, Format.pp_print_string)
+
 let benchmark_arg =
   let doc =
     "Benchmark name (see the list command), or a path to a $(b,.mir) \
      workload file (see corpus/ and the fmt command)."
   in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
+  Arg.(required & pos 0 (some bench_conv) None & info [] ~docv:"BENCH" ~doc)
 
-(* BENCH is either a registry name or a `.mir` workload file. Parse
-   failures print located caret diagnostics, not a backtrace. *)
+(* Parse failures in a `.mir` file print located caret diagnostics, not a
+   backtrace. *)
 let resolve_instance bench =
   if Filename.check_suffix bench ".mir" then (
     try W.Mir_workload.load_file bench
@@ -27,27 +49,43 @@ let resolve_instance bench =
       exit 1)
   else W.Registry.instance bench
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected a positive integer"
+                s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let tiles_arg =
   let doc = "Number of SPMD tiles." in
-  Arg.(value & opt int 1 & info [ "tiles"; "t" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "tiles"; "t" ] ~docv:"N" ~doc)
+
+let cores = [ ("ooo", Tile_config.out_of_order); ("ino", Tile_config.in_order) ]
+let systems = [ ("xeon", Presets.xeon_soc); ("dae", Presets.dae_soc) ]
+
+(* The core and system flags carry the preset's name (titles print it);
+   [Arg.enum] rejects any other name as a usage error. *)
+let preset_name presets = Arg.enum (List.map (fun (n, _) -> (n, n)) presets)
+let core_of_string name = List.assoc name cores
+let system_of_string name = List.assoc name systems
 
 let core_arg =
   let doc = "Core model: ooo or ino." in
-  Arg.(value & opt string "ooo" & info [ "core"; "c" ] ~docv:"CORE" ~doc)
+  Arg.(
+    value & opt (preset_name cores) "ooo"
+    & info [ "core"; "c" ] ~docv:"CORE" ~doc)
 
 let system_arg =
   let doc = "System preset: xeon (Table I) or dae (Table II)." in
-  Arg.(value & opt string "xeon" & info [ "system"; "s" ] ~docv:"SYS" ~doc)
-
-let core_of_string = function
-  | "ooo" -> Tile_config.out_of_order
-  | "ino" -> Tile_config.in_order
-  | s -> failwith (Printf.sprintf "unknown core model %s (ooo|ino)" s)
-
-let system_of_string = function
-  | "xeon" -> Presets.xeon_soc
-  | "dae" -> Presets.dae_soc
-  | s -> failwith (Printf.sprintf "unknown system preset %s (xeon|dae)" s)
+  Arg.(
+    value
+    & opt (preset_name systems) "xeon"
+    & info [ "system"; "s" ] ~docv:"SYS" ~doc)
 
 let jobs_arg =
   let doc =
@@ -55,20 +93,7 @@ let jobs_arg =
      (cycles, IPC, every counter) are identical at any job count; only \
      host-time readings wobble under contention."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let shards_arg =
-  let doc =
-    "Simulate one SoC across $(docv) domains: tiles are partitioned into \
-     contiguous shards swept in cycle lockstep, with cross-shard traffic \
-     re-serialized in exact program order. Every result and counter is \
-     bit-identical to --shards 1; speedup needs free host cores and more \
-     than one tile."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-
-let apply_shards shards cfg =
-  if shards <> 1 then { cfg with Soc.shards } else cfg
+  Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let no_skip_arg =
   let doc =
@@ -193,42 +218,35 @@ let write_observability ~trace_out ~metrics_out ~sink (r : Soc.result) =
 
 (* "auto", "PERIOD", "PERIOD:INTERVAL" or "PERIOD:INTERVAL:WARMUP", all in
    instructions across tiles; unspecified fields follow [Sample.auto]'s
-   proportions. *)
-let sample_spec_of_string ~trace s =
-  if s = "auto" then
-    Mosaic.Sample.auto
-      ~total_instrs:(Mosaic_trace.Trace.total_dyn_instrs trace)
-  else
-    let fields =
-      try List.map int_of_string (String.split_on_char ':' s)
-      with Failure _ ->
-        failwith
-          (Printf.sprintf
-             "bad --sample spec %S (auto | PERIOD[:INTERVAL[:WARMUP]])" s)
+   proportions. "auto" is sized from the trace, so it resolves later. *)
+let sample_conv =
+  let parse s =
+    let bad why =
+      Error (`Msg (Printf.sprintf "invalid value '%s' (%s)" s why))
     in
-    let spec =
-      match fields with
-      | [ period ] ->
-          {
-            Mosaic.Sample.period;
-            interval = Stdlib.max 1 (period / 8);
-            warmup = Stdlib.max 1 (period / 40);
-          }
-      | [ period; interval ] ->
-          {
-            Mosaic.Sample.period;
-            interval;
-            warmup = Stdlib.max 1 (period / 40);
-          }
-      | [ period; interval; warmup ] ->
-          { Mosaic.Sample.period; interval; warmup }
-      | _ ->
-          failwith
-            (Printf.sprintf
-               "bad --sample spec %S (auto | PERIOD[:INTERVAL[:WARMUP]])" s)
+    let spec period interval warmup =
+      let spec = { Mosaic.Sample.period; interval; warmup } in
+      match Mosaic.Sample.validate_spec spec with
+      | () -> Ok (`Spec spec)
+      | exception Invalid_argument msg -> bad msg
     in
-    Mosaic.Sample.validate_spec spec;
-    spec
+    if s = "auto" then Ok `Auto
+    else
+      match List.map int_of_string_opt (String.split_on_char ':' s) with
+      | [ Some period ] ->
+          spec period (Stdlib.max 1 (period / 8)) (Stdlib.max 1 (period / 40))
+      | [ Some period; Some interval ] ->
+          spec period interval (Stdlib.max 1 (period / 40))
+      | [ Some period; Some interval; Some warmup ] ->
+          spec period interval warmup
+      | _ -> bad "expected auto or PERIOD[:INTERVAL[:WARMUP]]"
+  in
+  let print ppf = function
+    | `Auto -> Format.pp_print_string ppf "auto"
+    | `Spec (sp : Mosaic.Sample.spec) ->
+        Format.fprintf ppf "%d:%d:%d" sp.period sp.interval sp.warmup
+  in
+  Arg.conv ~docv:"SPEC" (parse, print)
 
 let print_sample_report (r : Soc.result) =
   Option.iter
@@ -252,7 +270,8 @@ let sample_arg =
      $(b,PERIOD[:INTERVAL[:WARMUP]]) in instructions. Without this flag \
      the full (exact) simulator runs every cycle."
   in
-  Arg.(value & opt (some string) None & info [ "sample" ] ~docv:"SPEC" ~doc)
+  Arg.(
+    value & opt (some sample_conv) None & info [ "sample" ] ~docv:"SPEC" ~doc)
 
 let checkpoint_arg =
   let doc = "Write a snapshot of the full timing state to $(docv)." in
@@ -310,17 +329,25 @@ let write_manifest ~kind ~name ?digests ~metrics = function
       Printf.printf "manifest: %s\n" file
 
 let run_cmd =
-  let run bench tiles core system no_skip shards profile trace_out metrics_out
+  let run bench tiles core system no_skip profile trace_out metrics_out
       cache sample checkpoint checkpoint_at resume manifest progress =
     apply_manifest manifest;
     apply_trace_cache cache;
     let inst = resolve_instance bench in
     let trace, tinfo = W.Runner.trace_cached_full inst ~ntiles:tiles in
     let cfg =
-      apply_shards shards (apply_no_skip no_skip (system_of_string system))
+      apply_no_skip no_skip (system_of_string system)
     in
     let sink = sink_for trace_out in
-    let sample = Option.map (sample_spec_of_string ~trace) sample in
+    let sample =
+      Option.map
+        (function
+          | `Auto ->
+              Mosaic.Sample.auto
+                ~total_instrs:(Mosaic_trace.Trace.total_dyn_instrs trace)
+          | `Spec spec -> spec)
+        sample
+    in
     let progress = progress_for ~enabled:progress ~label:bench ~trace in
     let checkpoint_at, on_checkpoint =
       match checkpoint with
@@ -371,33 +398,24 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a benchmark on a simulated system")
     Term.(
       const run $ benchmark_arg $ tiles_arg $ core_arg $ system_arg
-      $ no_skip_arg $ shards_arg $ profile_arg $ trace_out_arg
+      $ no_skip_arg $ profile_arg $ trace_out_arg
       $ metrics_out_arg $ trace_cache_arg $ sample_arg $ checkpoint_arg
       $ checkpoint_at_arg $ resume_arg $ manifest_arg $ progress_arg)
 
 let bench_cmd =
   let benches_arg =
     let doc = "Benchmarks to run (default: the Parboil suite)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"BENCH" ~doc)
+    Arg.(value & pos_all bench_conv [] & info [] ~docv:"BENCH" ~doc)
   in
-  let run benches tiles core system no_skip shards profile jobs cache manifest
+  let run benches tiles core system no_skip profile jobs cache manifest
       =
     apply_manifest manifest;
     apply_trace_cache cache;
-    (* Nested domain pools oversubscribe: a batch of sharded runs would
-       spawn jobs*shards domains. Pick one axis of parallelism. *)
-    if jobs > 1 && shards > 1 then
-      failwith
-        (Printf.sprintf
-           "--jobs %d and --shards %d both parallelize; use --jobs to run \
-            workloads concurrently or --shards to parallelize within one \
-            SoC, not both"
-           jobs shards);
     let names =
       match benches with [] -> W.Registry.parboil_names | ns -> ns
     in
     let cfg =
-      apply_shards shards (apply_no_skip no_skip (system_of_string system))
+      apply_no_skip no_skip (system_of_string system)
     in
     let tc = core_of_string core in
     let results =
@@ -463,7 +481,7 @@ let bench_cmd =
           (--jobs)")
     Term.(
       const run $ benches_arg $ tiles_arg $ core_arg $ system_arg
-      $ no_skip_arg $ shards_arg $ profile_arg $ jobs_arg $ trace_cache_arg
+      $ no_skip_arg $ profile_arg $ jobs_arg $ trace_cache_arg
       $ manifest_arg)
 
 (* Cycle-accounting profiler front-end: run one workload with attribution
@@ -483,13 +501,13 @@ let profile_cmd =
     in
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
   in
-  let run bench tiles core system no_skip shards top out trace_out metrics_out
+  let run bench tiles core system no_skip top out trace_out metrics_out
       cache =
     apply_trace_cache cache;
     let inst = resolve_instance bench in
     let trace = W.Runner.trace_cached inst ~ntiles:tiles in
     let cfg =
-      apply_shards shards (apply_no_skip no_skip (system_of_string system))
+      apply_no_skip no_skip (system_of_string system)
     in
     let sink = sink_for trace_out in
     let r =
@@ -535,7 +553,7 @@ let profile_cmd =
           attribution, hot-spot ranking and memory-latency histogram")
     Term.(
       const run $ benchmark_arg $ tiles_arg $ core_arg $ system_arg
-      $ no_skip_arg $ shards_arg $ top_arg $ out_arg $ trace_out_arg
+      $ no_skip_arg $ top_arg $ out_arg $ trace_out_arg
       $ metrics_out_arg $ trace_cache_arg)
 
 let dump_cmd =
@@ -554,7 +572,7 @@ let trace_cmd =
     let doc =
       "Benchmark name or $(b,.mir) file (optional with $(b,--gc))."
     in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
+    Arg.(value & pos 0 (some bench_conv) None & info [] ~docv:"BENCH" ~doc)
   in
   let gc_arg =
     let doc =
@@ -682,7 +700,8 @@ let dse_cmd =
        simulation, every paper PLM size re-timed, the full simulator as \
        the per-point oracle."
     in
-    Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"BENCH" ~doc)
+    Arg.(
+      value & opt (some bench_conv) None & info [ "bench" ] ~docv:"BENCH" ~doc)
   in
   let soc_plm_sweep bench jobs =
     let inst = resolve_instance bench in
@@ -788,18 +807,14 @@ let sweep_cmd =
     in
     Arg.(value & flag & info [ "exact" ] ~doc)
   in
-  let run bench tiles core system axes exact jobs no_skip shards cache
+  let run bench tiles core system axes exact jobs no_skip cache
       manifest =
     apply_manifest manifest;
     apply_trace_cache cache;
-    if jobs > 1 && shards > 1 then
-      failwith
-        (Printf.sprintf
-           "--jobs %d and --shards %d both parallelize; pick one" jobs shards);
     let inst = resolve_instance bench in
     let trace = W.Runner.trace_cached inst ~ntiles:tiles in
     let cfg =
-      apply_shards shards (apply_no_skip no_skip (system_of_string system))
+      apply_no_skip no_skip (system_of_string system)
     in
     let specs = match axes with [] -> Mosaic.Sweep.default_axes | a -> a in
     let points =
@@ -884,7 +899,7 @@ let sweep_cmd =
           simulator as the oracle")
     Term.(
       const run $ benchmark_arg $ tiles_arg $ core_arg $ system_arg
-      $ axis_arg $ exact_arg $ jobs_arg $ no_skip_arg $ shards_arg
+      $ axis_arg $ exact_arg $ jobs_arg $ no_skip_arg
       $ trace_cache_arg $ manifest_arg)
 
 let dnn_cmd =
@@ -1018,14 +1033,14 @@ let cc_cmd =
       $ system_arg $ no_skip_arg)
 
 let dae_cmd =
-  let run bench pairs no_skip shards profile =
+  let run bench pairs no_skip profile =
     let inst, info =
       match bench with
       | "ewsd" -> W.Ewsd.dae_instance ~rows:2048 ~cols:2048 ~per_row:16 ()
       | "projection" ->
           W.Projection.dae_instance ~n_left:512 ~n_right:1024 ~degree:8 ()
-      | "sgemm" -> W.Sgemm.dae_instance ~m:48 ~n:48 ~k:48 ()
-      | s -> failwith (Printf.sprintf "no DAE variant for %s" s)
+      | _ (* "sgemm", the only other name [dae_bench_arg] admits *) ->
+          W.Sgemm.dae_instance ~m:48 ~n:48 ~k:48 ()
     in
     Printf.printf
       "slicing: %d terminal loads, %d routed stores, %d duplicated\n"
@@ -1047,18 +1062,28 @@ let dae_cmd =
     in
     let r =
       Soc.run ~profile
-        (apply_shards shards (apply_no_skip no_skip Presets.dae_soc))
+        (apply_no_skip no_skip Presets.dae_soc)
         ~program:inst.W.Runner.program ~trace ~tiles
     in
     print_result (bench ^ "-dae") r
   in
+  let dae_bench_arg =
+    let doc = "Kernel to slice: ewsd, projection or sgemm." in
+    let kernels =
+      List.map (fun k -> (k, k)) [ "ewsd"; "projection"; "sgemm" ]
+    in
+    Arg.(
+      required & pos 0 (some (enum kernels)) None & info [] ~docv:"BENCH" ~doc)
+  in
   let pairs_arg =
-    Arg.(value & opt int 1 & info [ "pairs"; "p" ] ~docv:"N" ~doc:"DAE pairs")
+    Arg.(
+      value & opt positive_int 1
+      & info [ "pairs"; "p" ] ~docv:"N" ~doc:"DAE pairs")
   in
   Cmd.v
     (Cmd.info "dae" ~doc:"Slice a kernel into DAE halves and simulate pairs")
     Term.(
-      const run $ benchmark_arg $ pairs_arg $ no_skip_arg $ shards_arg
+      const run $ dae_bench_arg $ pairs_arg $ no_skip_arg
       $ profile_arg)
 
 (* Parse -> pretty-print round trip: the canonical form preserves
@@ -1187,4 +1212,8 @@ let main =
       characterize_cmd; fmt_cmd; version_cmd; diff_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* A wide margin keeps each usage error on one line, however long. *)
+let () =
+  let err = Format.formatter_of_out_channel stderr in
+  Format.pp_set_margin err 1000;
+  exit (Cmd.eval ~err main)

@@ -1,8 +1,9 @@
-(** Function-rebuilding helpers shared by compiler passes.
+(** Function-rebuilding helpers for IR transformations such as the DAE
+    slicer.
 
-    Passes manipulate instruction lists per block and then call [renumber]
-    to restore the invariant that instruction ids are contiguous and ordered
-    block-by-block. *)
+    A transformation manipulates instruction lists per block and then calls
+    [renumber] to restore the invariant that instruction ids are contiguous
+    and ordered block-by-block. *)
 
 (** [renumber ~name ~nparams ~nregs blocks] rebuilds a function from blocks
     whose instructions may carry stale ids; fresh ids are assigned in block

@@ -36,7 +36,6 @@ type config = {
   mem_energy : mem_energy;
   max_cycles : int;
   cycle_skip : bool;
-  shards : int;
 }
 
 let default_mem_energy =
@@ -87,7 +86,6 @@ let default_config =
     mem_energy = default_mem_energy;
     max_cycles = 2_000_000_000;
     cycle_skip = true;
-    shards = 1;
   }
 
 let with_hierarchy cfg hierarchy = { cfg with hierarchy }
@@ -260,94 +258,23 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
         Hashtbl.replace ddg_cache name d;
         d
   in
-  (* Sharded execution: [shards > 1] partitions the tiles into contiguous
-     ascending ranges, one OCaml domain each, swept in cycle lockstep.
-     Tile-private work (core pipelines, L1 hits under a private-only
-     hierarchy) runs in parallel; every operation on shared state — the
-     interleaver, shared cache levels, DRAM, the directory, the
-     accelerator manager — is funneled through [Shard_sync] at the exact
-     point (visited cycle, tile id) the serial scheduler would have
-     executed it, so all counters come out bit-identical. Event streams
-     would interleave nondeterministically across domains, so an enabled
-     sink forces the serial scheduler. *)
-  let nshards =
-    let s = Stdlib.min cfg.shards ntiles in
-    (* Sampling drives drains, fast-forwards and phase transitions from
-       the serial scheduler's loop top; force serial when sampling. *)
-    if s > 1 && (not (Sink.enabled sink)) && sample = None then s else 1
-  in
-  let sync =
-    if nshards > 1 then
-      Some (Mosaic_util.Shard_sync.create ~timed:(Span.enabled ()) ~nshards ())
-    else None
-  in
-  let bounds = Array.init (nshards + 1) (fun k -> k * ntiles / nshards) in
-  let shard_of = Array.make ntiles 0 in
-  for k = 0 to nshards - 1 do
-    for t = bounds.(k) to bounds.(k + 1) - 1 do
-      shard_of.(t) <- k
-    done
-  done;
-  (* Each slot is written only by its owning domain; comm callbacks read
-     the caller's own slot, so there is no cross-domain access. *)
-  let cur_seq = Array.make nshards 0 in
   let comm =
-    let direct_mem ~tile ~cycle ~addr ~is_write =
-      Hierarchy.access hier ~tile ~cycle ~addr ~is_write
-    in
-    match sync with
-    | None ->
-        {
-          Core_tile.send =
-            (fun ~src ~dst ~chan ~cycle ~available ->
-              Interleaver.send inter ~src ~dst ~chan ~cycle ~available);
-          try_recv =
-            (fun ~tile ~chan ~cycle ->
-              Interleaver.try_recv inter ~tile ~chan ~cycle);
-          take_or_owe =
-            (fun ~tile ~chan -> Interleaver.take_or_owe inter ~tile ~chan);
-          accel =
-            (fun ~tile ~kind ~params ~cycle ->
-              accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle);
-          mem_access = direct_mem;
-        }
-    | Some sync ->
-        let module Sync = Mosaic_util.Shard_sync in
-        (* Take the acting tile's turn in the global shared-state order:
-           returns once every other shard has swept past this point. *)
-        let order tile =
-          let shard = shard_of.(tile) in
-          Sync.wait_order sync ~shard
-            ~point:(Sync.point ~seq:cur_seq.(shard) ~tile)
-        in
-        let fast_private = Hierarchy.private_only_config hier in
-        {
-          Core_tile.send =
-            (fun ~src ~dst ~chan ~cycle ~available ->
-              order src;
-              Interleaver.send inter ~src ~dst ~chan ~cycle ~available);
-          try_recv =
-            (fun ~tile ~chan ~cycle ->
-              order tile;
-              Interleaver.try_recv inter ~tile ~chan ~cycle);
-          take_or_owe =
-            (fun ~tile ~chan ->
-              order tile;
-              Interleaver.take_or_owe inter ~tile ~chan);
-          accel =
-            (fun ~tile ~kind ~params ~cycle ->
-              order tile;
-              accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle);
-          mem_access =
-            (fun ~tile ~cycle ~addr ~is_write ->
-              (* An L1 hit under a private-only hierarchy touches only the
-                 tile's own cache state and commutes with every shared
-                 operation — the common case, and the whole source of
-                 parallelism on memory-bound workloads. *)
-              if not (fast_private && Hierarchy.hits_private hier ~tile ~addr)
-              then order tile;
-              Hierarchy.access hier ~tile ~cycle ~addr ~is_write);
-        }
+    {
+      Core_tile.send =
+        (fun ~src ~dst ~chan ~cycle ~available ->
+          Interleaver.send inter ~src ~dst ~chan ~cycle ~available);
+      try_recv =
+        (fun ~tile ~chan ~cycle ->
+          Interleaver.try_recv inter ~tile ~chan ~cycle);
+      take_or_owe =
+        (fun ~tile ~chan -> Interleaver.take_or_owe inter ~tile ~chan);
+      accel =
+        (fun ~tile ~kind ~params ~cycle ->
+          accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle);
+      mem_access =
+        (fun ~tile ~cycle ~addr ~is_write ->
+          Hierarchy.access hier ~tile ~cycle ~addr ~is_write);
+    }
   in
   let profiles =
     Array.map
@@ -510,8 +437,7 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
   in
   (* Minimum next-event view across every component, evaluated at a
      globally quiescent [cycle]; [max_int] means nothing can ever wake (a
-     true deadlock). Shared verbatim by both schedulers so the sharded
-     reducer takes exactly the serial skip decisions. *)
+     true deadlock). *)
   let min_next_event at =
     let next = ref max_int in
     let consider = function
@@ -530,172 +456,69 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
       (Printf.sprintf "Soc.run: exceeded max_cycles=%d (deadlock?)"
          cfg.max_cycles)
   in
-  (match sync with
-  | None ->
-      while !finished_count < ntiles do
-        if !cycle >= cfg.max_cycles then max_cycles_failure ();
-        maybe_checkpoint ();
-        (match sampler with
-        | Some d -> Sample.tick d ~cycle:!cycle
-        | None -> ());
-        let progress = ref false in
-        for i = 0 to ntiles - 1 do
-          let c = cores.(i) in
-          if Core_tile.step c ~cycle:!cycle then progress := true;
-          if (not finished_flags.(i)) && Core_tile.finished c then begin
-            finished_flags.(i) <- true;
-            incr finished_count
-          end
-        done;
-        incr stepped;
-        progress_tick !stepped !cycle;
-        if sampling && !cycle >= !next_sample then begin
-          emit_samples ();
-          next_sample := !cycle + sample_interval
-        end;
-        if !progress || not cfg.cycle_skip then incr cycle
-        else begin
-          (* Globally quiescent cycle: no tile processed an event, launched,
-             issued or retired anything. Whatever each tile is blocked on is
-             either a queued future event (reported below) or another
-             component's progress — and nothing progressed, so the earliest
-             possible state change is the minimum over all next-event views.
-             Jump straight there; the intervening cycles are provably
-             identical no-ops, so the simulated cycle count is unchanged. *)
-          let next = min_next_event !cycle in
-          let target =
-            if next = max_int then
-              (* Jump to the cap so a deadlock surfaces with the same
-                 max_cycles failure as the naive sweep. *)
-              cfg.max_cycles
-            else Stdlib.min next cfg.max_cycles
-          in
-          let target =
-            match sampler with
-            | Some d -> Stdlib.min target (Sample.skip_cap d ~cycle:!cycle)
-            | None -> target
-          in
-          (* Skipped cycles are provably identical no-ops, so each tile's
-             attribution over the stretch is its frozen last-swept-cycle
-             cause; booking it keeps per-tile attribution bit-identical with
-             and without cycle skipping (and summing to [cycles]). *)
-          if profile then begin
-            let skipped = target - !cycle - 1 in
-            if skipped > 0 then
-              for i = 0 to ntiles - 1 do
-                Profile.book_repeat profiles.(i) skipped
-              done
-          end;
-          cycle := target
-        end
-      done
-  | Some sync when !finished_count < ntiles ->
-      let module Sync = Mosaic_util.Shard_sync in
-      (* The serial loop fails at the top of its first iteration when the
-         cap is non-positive; replicate before spawning any domain. *)
-      if !cycle >= cfg.max_cycles then max_cycles_failure ();
-      (* Same capture point as the serial loop top: before sweeping the
-         first visited cycle (later cycles are handled by the reducer). *)
-      maybe_checkpoint ();
-      (* Per-shard sweep outcomes (each slot written by its owner before
-         the barrier, read by the reducer) and the reducer's decisions
-         (written under the barrier, read by every shard after it). *)
-      let progress_of = Array.make nshards false in
-      let newly_finished = Array.make nshards 0 in
-      let next_cycle = ref 0 in
-      let book = ref 0 in
-      let stop = ref false in
-      (* End-of-cycle decision, run once per visited cycle by whichever
-         shard reaches the barrier last — the exact serial sequence:
-         count progress, advance or skip, then stop or cap-check. The
-         interleaver's next-arrival view drains its pqueue, so only the
-         reducer may evaluate it. *)
-      let reduce () =
-        incr stepped;
-        progress_tick !stepped !cycle;
-        let progress = ref false in
-        for k = 0 to nshards - 1 do
-          if progress_of.(k) then progress := true;
-          finished_count := !finished_count + newly_finished.(k)
-        done;
-        book := 0;
-        let c = !cycle in
-        (if !progress || not cfg.cycle_skip then next_cycle := c + 1
-         else begin
-           let next = min_next_event c in
-           let target =
-             if next = max_int then cfg.max_cycles
-             else Stdlib.min next cfg.max_cycles
-           in
-           book := target - c - 1;
-           next_cycle := target
-         end);
-        cycle := !next_cycle;
-        (* Under the barrier every shard is parked, so reading all tiles
-           here matches the serial loop-top capture point exactly. *)
-        maybe_checkpoint ();
-        if !finished_count >= ntiles then stop := true
-        else if !cycle >= cfg.max_cycles then max_cycles_failure ()
+  while !finished_count < ntiles do
+    if !cycle >= cfg.max_cycles then max_cycles_failure ();
+    maybe_checkpoint ();
+    (match sampler with
+    | Some d -> Sample.tick d ~cycle:!cycle
+    | None -> ());
+    let progress = ref false in
+    for i = 0 to ntiles - 1 do
+      let c = cores.(i) in
+      if Core_tile.step c ~cycle:!cycle then progress := true;
+      if (not finished_flags.(i)) && Core_tile.finished c then begin
+        finished_flags.(i) <- true;
+        incr finished_count
+      end
+    done;
+    incr stepped;
+    progress_tick !stepped !cycle;
+    if sampling && !cycle >= !next_sample then begin
+      emit_samples ();
+      next_sample := !cycle + sample_interval
+    end;
+    if !progress || not cfg.cycle_skip then incr cycle
+    else begin
+      (* Globally quiescent cycle: no tile processed an event, launched,
+         issued or retired anything. Whatever each tile is blocked on is
+         either a queued future event (reported below) or another
+         component's progress — and nothing progressed, so the earliest
+         possible state change is the minimum over all next-event views.
+         Jump straight there; the intervening cycles are provably
+         identical no-ops, so the simulated cycle count is unchanged. *)
+      let next = min_next_event !cycle in
+      let target =
+        if next = max_int then
+          (* Jump to the cap so a deadlock surfaces with the same
+             max_cycles failure as the naive sweep. *)
+          cfg.max_cycles
+        else Stdlib.min next cfg.max_cycles
       in
-      Sync.run sync (fun k ->
-          let lo = bounds.(k) and hi = bounds.(k + 1) in
-          let seq = ref 0 in
-          let my_cycle = ref !cycle in
-          let running = ref true in
-          while !running do
-            let c = !my_cycle in
-            let prog = ref false in
-            let fin = ref 0 in
-            for t = lo to hi - 1 do
-              (* Announce the turn before stepping: shared ops by tiles
-                 above [t] (on any shard) now wait for us. *)
-              Sync.publish sync ~shard:k ~point:(Sync.point ~seq:!seq ~tile:t);
-              let core = cores.(t) in
-              if Core_tile.step core ~cycle:c then prog := true;
-              if (not finished_flags.(t)) && Core_tile.finished core then begin
-                finished_flags.(t) <- true;
-                incr fin
-              end
-            done;
-            incr seq;
-            cur_seq.(k) <- !seq;
-            (* Sweep done: release every tile of this visited cycle. *)
-            Sync.publish sync ~shard:k ~point:(Sync.point ~seq:!seq ~tile:lo);
-            progress_of.(k) <- !prog;
-            newly_finished.(k) <- !fin;
-            Sync.barrier sync ~shard:k ~reduce;
-            if !stop then running := false
-            else begin
-              (* Book the skipped stretch into our own tiles' attribution
-                 (same commutative per-tile booking the serial loop does
-                 before advancing). *)
-              if profile && !book > 0 then
-                for t = lo to hi - 1 do
-                  Profile.book_repeat profiles.(t) !book
-                done;
-              my_cycle := !next_cycle
-            end
-          done)
-  | Some _ ->
-      (* Resumed from a snapshot taken after every tile finished: there is
-         no cycle left to sweep, and running one would book extra stepped
-         cycles the straight run never saw. *)
-      ());
+      let target =
+        match sampler with
+        | Some d -> Stdlib.min target (Sample.skip_cap d ~cycle:!cycle)
+        | None -> target
+      in
+      (* Skipped cycles are provably identical no-ops, so each tile's
+         attribution over the stretch is its frozen last-swept-cycle
+         cause; booking it keeps per-tile attribution bit-identical with
+         and without cycle skipping (and summing to [cycles]). *)
+      if profile then begin
+        let skipped = target - !cycle - 1 in
+        if skipped > 0 then
+          for i = 0 to ntiles - 1 do
+            Profile.book_repeat profiles.(i) skipped
+          done
+      end;
+      cycle := target
+    end
+  done;
   (* A checkpoint requested at or past the final cycle captures the
      end-of-run state (the serial loop top is never reached again), even
      when the requested cycle lies beyond the run's last cycle. *)
   maybe_checkpoint ~force:true ();
   if sampling then emit_samples ();
   Span.end_span sim_span;
-  (match (sync, Span.enabled ()) with
-  | Some sync, true ->
-      let module Sync = Mosaic_util.Shard_sync in
-      for k = 0 to nshards - 1 do
-        Span.gauge_set reg
-          (Printf.sprintf "host.shard.%d.barrier_wait_seconds" k)
-          (Sync.wait_seconds sync k)
-      done
-  | _ -> ());
   let host_seconds = Unix.gettimeofday () -. host_start in
   let cycles = !cycle in
   let stepped_cycles = !stepped in

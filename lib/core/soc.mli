@@ -39,18 +39,6 @@ type config = {
           no-op cycles. Results are cycle-exact either way; disable (the
           CLI's [--no-skip]) to force the naive per-cycle sweep when
           debugging the scheduler itself. *)
-  shards : int;
-      (** simulate one SoC across this many OCaml domains (default 1 =
-          serial). Tiles are partitioned into contiguous ranges swept in
-          cycle lockstep; tile-private work (pipelines, L1 hits without
-          coherence or L1 prefetching) parallelizes, while operations on
-          shared state (interleaver, shared caches, DRAM, directory,
-          accelerators) are re-serialized in exact serial program order,
-          so every result field and registry counter is bit-identical to
-          [shards = 1]. Clamped to the tile count; an enabled event sink
-          forces serial execution (event streams would otherwise
-          interleave nondeterministically). Speedup requires free host
-          cores — see {!Mosaic_util.Domain_pool.available_cores}. *)
 }
 
 val default_config : config
@@ -119,14 +107,13 @@ type result = {
     [Snapshot.cycle] and every final counter matches the straight run.
     Resume validates tile count, kernels, trace identity (dynamic
     instruction counts), profiling mode and NoC presence, raising
-    [Invalid_argument] on mismatch. Snapshots work under sharded execution
-    too (capture points coincide with the serial scheduler's).
+    [Invalid_argument] on mismatch.
 
     {b Sampling.} [sample:spec] turns on interval sampling
     ({!Sample.spec}): detailed measurement alternates with functional
     fast-forward, and [result.sample] carries the extrapolated cycle and
-    stall estimates. Sampled runs force [shards = 1] and cannot be
-    combined with checkpoints ([Invalid_argument]). *)
+    stall estimates. Sampled runs cannot be combined with checkpoints
+    ([Invalid_argument]). *)
 val run :
   ?sink:Mosaic_obs.Sink.t ->
   ?metrics:Mosaic_obs.Metrics.t ->

@@ -295,22 +295,6 @@ let warm t ~tile ~addr ~is_write =
   warm_directory t ~tile ~addr ~is_write;
   warm_chain t.chains.(tile) 0 ~addr ~is_write
 
-(* Sharded-execution support: an access whose line is already resident in
-   the tile's L1 reads and writes only that tile's private state (tags,
-   LRU, stats, MSHR merge bookkeeping), provided nothing can reach across
-   tiles — no directory (coherence invalidates *other* tiles' private
-   caches) and no L1 prefetcher (prefetches walk into shared levels even
-   on a hit). Under those two conditions the sharded scheduler may run
-   L1-hit accesses without global ordering: they commute with every
-   shared-state operation. *)
-let private_only_config t =
-  t.cfg.coherence = None && t.cfg.l1.Cache.prefetch = None
-
-let hits_private t ~tile ~addr =
-  if tile < 0 || tile >= t.ntiles then
-    invalid_arg (Printf.sprintf "Hierarchy.hits_private: bad tile %d" tile);
-  Cache.probe t.l1s.(tile) ~addr
-
 let can_accept t ~tile ~cycle =
   if tile < 0 || tile >= t.ntiles then
     invalid_arg (Printf.sprintf "Hierarchy.can_accept: bad tile %d" tile);

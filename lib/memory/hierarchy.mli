@@ -42,20 +42,6 @@ val ntiles : t -> int
     a demand access. Raises [Invalid_argument] on a bad tile id. *)
 val access : t -> tile:int -> cycle:int -> addr:int -> is_write:bool -> int
 
-(** Whether this configuration confines L1-hit accesses to tile-private
-    state: no coherence directory (writes would invalidate other tiles'
-    private caches) and no L1 prefetcher (hits would issue prefetches
-    into shared levels). When true, an access for which {!hits_private}
-    holds commutes with all shared-state operations — the sharded
-    scheduler uses this pair to run L1 hits without global ordering. *)
-val private_only_config : t -> bool
-
-(** [hits_private t ~tile ~addr] is true when the line is resident in the
-    tile's L1, i.e. a demand access now would be an L1 hit touching only
-    that tile's private state (under {!private_only_config}). Probes
-    without updating replacement or statistics state. *)
-val hits_private : t -> tile:int -> addr:int -> bool
-
 (** Whether tile's L1 can accept a new miss right now (MSHR not full).
     Fire-and-forget operations (terminal loads, store-value-buffer drains)
     gate their issue on this, which is what throttles a decoupled access

@@ -3,10 +3,10 @@
    twice per scope, which is microseconds — negligible against the
    second-scale phases being measured.
 
-   Per-domain nesting depth lives in DLS so concurrent shard/pool domains
-   nest independently; completed spans funnel into one mutex-protected
-   list (spans complete at phase granularity, thousands per run at most,
-   so the lock is never contended in any hot path). *)
+   Per-domain nesting depth lives in DLS so concurrent [Domain_pool]
+   workers nest independently; completed spans funnel into one
+   mutex-protected list (spans complete at phase granularity, thousands
+   per run at most, so the lock is never contended in any hot path). *)
 
 type completed = {
   name : string;

@@ -29,9 +29,10 @@ type comm = {
     cycle:int ->
     accel_result;
   mem_access : tile:int -> cycle:int -> addr:int -> is_write:bool -> int;
-      (** demand access into the memory hierarchy; routed through the SoC
-          so the sharded scheduler can order cross-tile memory traffic
-          (plain runs pass straight through to {!Mosaic_memory.Hierarchy.access}) *)
+      (** demand access into the memory hierarchy: the seam through which
+          the owner of the tile routes and times its loads and stores. The
+          SoC passes straight through to {!Mosaic_memory.Hierarchy.access};
+          a host-profiling driver can wrap it to time the hierarchy. *)
 }
 
 type stats = {

@@ -2,8 +2,7 @@
    and resuming a fresh run from the snapshot must reproduce the straight
    run bit-for-bit — cycles, stepped cycles, instrs, per-tile stats, stall
    attribution, memory totals. The matrix covers cycle skipping on/off,
-   profiled/plain, serial and sharded capture, and both system presets;
-   the container tests check that corrupt, truncated or mislabeled
+   profiled/plain, and both system presets; the container tests check that corrupt, truncated or mislabeled
    snapshot files fail loudly instead of resuming garbage. *)
 
 module Soc = Mosaic.Soc
@@ -68,10 +67,10 @@ let assert_same name (a : Soc.result) (b : Soc.result) =
 
 (* Straight run, checkpointing run (same observables), resumed run (same
    observables again), capture at [frac] of the straight run's cycles. *)
-let round_trip ?(shards = 1) ?(cycle_skip = true) ?(profile = false)
-    ?(marshal = false) ~cfg ~tile_config name inst ~ntiles ~frac =
+let round_trip ?(cycle_skip = true) ?(profile = false) ?(marshal = false)
+    ~cfg ~tile_config name inst ~ntiles ~frac =
   let trace = W.Runner.trace inst ~ntiles in
-  let cfg = { cfg with Soc.cycle_skip; shards } in
+  let cfg = { cfg with Soc.cycle_skip } in
   let run ?checkpoint_at ?on_checkpoint ?resume () =
     Soc.run_homogeneous ~profile ?checkpoint_at ?on_checkpoint ?resume cfg
       ~program:inst.W.Runner.program ~trace ~tile_config
@@ -95,7 +94,7 @@ let round_trip ?(shards = 1) ?(cycle_skip = true) ?(profile = false)
 
 let spmv () = W.Spmv.instance ~seed:17 ~rows:96 ~cols:96 ~per_row:5 ()
 
-(* skip/no-skip x profiled/plain on the xeon preset, serial capture. *)
+(* skip/no-skip x profiled/plain on the xeon preset. *)
 let test_matrix_serial () =
   List.iter
     (fun (cycle_skip, profile) ->
@@ -104,17 +103,6 @@ let test_matrix_serial () =
         (Printf.sprintf "spmv/xeon skip:%b profile:%b" cycle_skip profile)
         (spmv ()) ~ntiles:2 ~frac:0.5)
     [ (true, true); (true, false); (false, true); (false, false) ]
-
-(* Sharded capture: the snapshot taken under shards:2 resumes (serially
-   and sharded) to the same end state. *)
-let test_matrix_sharded () =
-  List.iter
-    (fun (shards, profile) ->
-      round_trip ~shards ~profile ~cfg:Mosaic.Presets.xeon_soc
-        ~tile_config:TC.out_of_order
-        (Printf.sprintf "spmv/xeon shards:%d profile:%b" shards profile)
-        (spmv ()) ~ntiles:2 ~frac:0.4)
-    [ (2, false); (2, true) ]
 
 (* DAE preset, accelerator tile in flight, marshal round trip included. *)
 let test_dae_preset () =
@@ -128,14 +116,13 @@ let test_dae_preset () =
     ~ntiles:1 ~frac:0.3
 
 (* A checkpoint requested past the end of the run captures the final
-   state; resuming it (serially or sharded) adds zero stepped cycles. *)
+   state; resuming it adds zero stepped cycles. *)
 let test_checkpoint_past_end () =
   let inst = spmv () in
   let trace = W.Runner.trace inst ~ntiles:2 in
-  let run ?checkpoint_at ?on_checkpoint ?resume ?(shards = 1) () =
+  let run ?checkpoint_at ?on_checkpoint ?resume () =
     Soc.run_homogeneous ?checkpoint_at ?on_checkpoint ?resume
-      { Mosaic.Presets.xeon_soc with Soc.shards }
-      ~program:inst.W.Runner.program ~trace ~tile_config:TC.out_of_order
+      Mosaic.Presets.xeon_soc ~program:inst.W.Runner.program ~trace ~tile_config:TC.out_of_order
   in
   let straight = run () in
   let snap = ref None in
@@ -147,13 +134,7 @@ let test_checkpoint_past_end () =
   in
   let s = Option.get !snap in
   checki "end snapshot cycle" straight.Soc.cycles (Snapshot.cycle s);
-  List.iter
-    (fun shards ->
-      let resumed = run ~resume:s ~shards () in
-      assert_same
-        (Printf.sprintf "resume at end shards:%d" shards)
-        straight resumed)
-    [ 1; 2 ]
+  assert_same "resume at end" straight (run ~resume:s ())
 
 (* Resume validation: a snapshot only resumes into the workload, trace and
    profiling mode it was captured from. *)
@@ -330,8 +311,6 @@ let suite =
       [
         Alcotest.test_case "round trip: skip x profile matrix (serial)" `Quick
           test_matrix_serial;
-        Alcotest.test_case "round trip: sharded capture" `Quick
-          test_matrix_sharded;
         Alcotest.test_case "round trip: dae preset + accel + marshal" `Quick
           test_dae_preset;
         Alcotest.test_case "checkpoint past end of run" `Quick

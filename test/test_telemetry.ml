@@ -6,8 +6,7 @@
    nesting shape, including raising bodies and hostile names), so the
    nesting tests are property-based. The differential tests hold the
    telemetry layer to the simulator's prime directive: enabling spans
-   and progress must leave every deterministic output bit-identical,
-   serial and sharded. *)
+   and progress must leave every deterministic output bit-identical. *)
 
 module Span = Mosaic_obs.Span
 module Progress = Mosaic_obs.Progress
@@ -291,33 +290,26 @@ let fingerprint = Test_batch.fingerprint
 let test_telemetry_differential () =
   let inst = W.Micro.stream ~seed:23 ~elems:1024 () in
   let trace = W.Runner.trace inst ~ntiles:2 in
-  let run ?progress ~shards () =
-    Soc.run_homogeneous ?progress
-      { Presets.dae_soc with Soc.shards }
+  let run ?progress () =
+    Soc.run_homogeneous ?progress Presets.dae_soc
       ~program:inst.W.Runner.program ~trace ~tile_config:TC.out_of_order
   in
-  let reference = fingerprint (run ~shards:1 ()) in
-  List.iter
-    (fun shards ->
-      Span.set_enabled true;
-      Span.reset ();
-      let progress =
-        Progress.create ~interval_s:0.0
-          ~print:(fun _ -> ())
-          ~label:"diff" ~total_instrs:(Some (Mosaic_trace.Trace.total_dyn_instrs trace))
-          ()
-      in
-      let r = run ~progress ~shards () in
-      let sim_recorded =
-        List.exists (fun s -> s.Span.name = "sim") (Span.spans ())
-      in
-      Span.set_enabled false;
-      checkb (Printf.sprintf "sim span recorded (shards:%d)" shards) true
-        sim_recorded;
-      checks
-        (Printf.sprintf "telemetry run bit-identical (shards:%d)" shards)
-        reference (fingerprint r))
-    [ 1; 2 ]
+  let reference = fingerprint (run ()) in
+  Span.set_enabled true;
+  Span.reset ();
+  let progress =
+    Progress.create ~interval_s:0.0
+      ~print:(fun _ -> ())
+      ~label:"diff" ~total_instrs:(Some (Mosaic_trace.Trace.total_dyn_instrs trace))
+      ()
+  in
+  let r = run ~progress () in
+  let sim_recorded =
+    List.exists (fun s -> s.Span.name = "sim") (Span.spans ())
+  in
+  Span.set_enabled false;
+  checkb "sim span recorded" true sim_recorded;
+  checks "telemetry run bit-identical" reference (fingerprint r)
 
 let suite =
   [

@@ -10,14 +10,6 @@
    set and phrases the verdict for CI.
 
    Usage: check_cycle_drift FRESH.json BASELINE.json
-          check_cycle_drift --sharded BASELINE.json [SHARDS]
-
-   The --sharded mode is the parallel-determinism guard: it re-simulates
-   every Shard_suite workload twice — serially and sharded across SHARDS
-   (default 2) domains — and requires (a) the two agree bit-for-bit on
-   cycles, and (b) both match the committed speed.shard.<name>.cycles
-   baseline. Any disagreement in (a) is a sharded-scheduler bug, never a
-   legitimate timing change.
 
    Exits 0 when all baseline cycle entries match, 1 on drift or a missing
    entry, 2 on usage/parse errors. *)
@@ -37,70 +29,12 @@ let speed_cycles entries = List.filter (fun (k, _) -> is_speed_cycles k) entries
 
 let num = function Some (Diff.Num v) -> Printf.sprintf "%.0f" v | _ -> "?"
 
-(* --sharded: run the shard suite here and now, serial vs sharded, and
-   hold both to the committed baseline. *)
-let check_sharded baseline_file nshards =
-  let baseline = speed_cycles (load baseline_file) in
-  let drift = ref false in
-  List.iter
-    (fun (e : Mosaic_suite.Shard_suite.entry) ->
-      let serial = e.run ~shards:1 in
-      let sharded = e.run ~shards:nshards in
-      let scy = serial.Mosaic.Soc.cycles and pcy = sharded.Mosaic.Soc.cycles in
-      if scy <> pcy then begin
-        drift := true;
-        Printf.printf
-          "NONDETERMINISTIC %s: serial %d cycles, shards:%d %d cycles\n"
-          e.name scy nshards pcy
-      end;
-      let key = Printf.sprintf "speed.shard.%s.cycles" e.name in
-      (match List.assoc_opt key baseline with
-      | None | Some (Diff.Str _) ->
-          drift := true;
-          Printf.printf "MISSING baseline key %s (got %d; refresh %s)\n" key
-            pcy baseline_file
-      | Some (Diff.Num v) ->
-          let expected = int_of_float v in
-          if expected <> scy then begin
-            drift := true;
-            Printf.printf "DRIFT   %s: baseline %d, fresh %d\n" key expected
-              scy
-          end);
-      Printf.printf "%-18s serial %9d cycles, shards:%d %9d cycles\n" e.name
-        scy nshards pcy)
-    Mosaic_suite.Shard_suite.entries;
-  if !drift then begin
-    Printf.printf
-      "sharded cycle check failed: determinism or baseline drift (see \
-       above).\n";
-    exit 1
-  end
-  else
-    Printf.printf
-      "sharded cycle check OK: %d workloads bit-identical (serial = \
-       shards:%d = baseline)\n"
-      (List.length Mosaic_suite.Shard_suite.entries)
-      nshards
-
 let () =
   let fresh_file, baseline_file =
     match Sys.argv with
-    | [| _; "--sharded"; b |] ->
-        check_sharded b 2;
-        exit 0
-    | [| _; "--sharded"; b; n |] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 2 ->
-            check_sharded b n;
-            exit 0
-        | _ ->
-            prerr_endline "check_cycle_drift: SHARDS must be an int >= 2";
-            exit 2)
     | [| _; f; b |] -> (f, b)
     | _ ->
-        prerr_endline
-          "usage: check_cycle_drift FRESH.json BASELINE.json\n\
-          \       check_cycle_drift --sharded BASELINE.json [SHARDS]";
+        prerr_endline "usage: check_cycle_drift FRESH.json BASELINE.json";
         exit 2
   in
   let fresh = speed_cycles (load fresh_file) in

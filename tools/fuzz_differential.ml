@@ -1,7 +1,7 @@
 (* Differential fuzzer over generated IR programs.
 
    Each case is a random, validated, terminating program from
-   [Mosaic_ir.Gen]. Its trace is fed through three differential oracles
+   [Mosaic_ir.Gen]. Its trace is fed through five differential oracles
    that the simulator promises hold for *every* program, not just the
    curated workloads:
 
@@ -17,11 +17,7 @@
       config (Retime, the incremental-DSE engine) reproduces the exact
       simulator's cycle and instruction counts bit-for-bit: every
       scaling ratio must collapse to exactly 1.0.
-   5. sharded-vs-serial — the domain-sharded scheduler (shards:2 and
-      shards:ntiles, profiled) is conservative parallel simulation, not
-      an approximation: cycles, stepped cycles, instrs and every tile's
-      per-cause stall attribution bit-identical to the serial sweep.
-   6. snapshot/resume — checkpointing the run at a pseudo-random cycle
+   5. snapshot/resume — checkpointing the run at a pseudo-random cycle
       and resuming a fresh run from the snapshot (every third case
       additionally round-tripped through the serialized container)
       reproduces the straight run bit-for-bit: cycles, stepped cycles,
@@ -89,36 +85,6 @@ let run_case ~quiet ~size i base_seed =
         (Printf.sprintf "tile %d attribution total (noskip)" t)
         naive_prof.Soc.cycles (Profile.total p))
     naive_prof.Soc.profiles;
-  (* Oracle 5: the sharded scheduler is bit-identical to the serial one,
-     including the profiler's attribution and the visited-cycle count. *)
-  List.iter
-    (fun shards ->
-      let sharded =
-        Soc.run_homogeneous ~profile:true
-          { Soc.default_config with Soc.shards }
-          ~program:case.program ~trace ~tile_config
-      in
-      let tag = Printf.sprintf "shards:%d vs serial" shards in
-      check case (Printf.sprintf "cycles (%s)" tag) skip_prof.Soc.cycles
-        sharded.Soc.cycles;
-      check case
-        (Printf.sprintf "stepped cycles (%s)" tag)
-        skip_prof.Soc.stepped_cycles sharded.Soc.stepped_cycles;
-      check case (Printf.sprintf "instrs (%s)" tag) skip_prof.Soc.instrs
-        sharded.Soc.instrs;
-      Array.iteri
-        (fun t p ->
-          Array.iter
-            (fun cause ->
-              check case
-                (Printf.sprintf "tile %d stall %s (%s)" t
-                   (Mosaic_obs.Stall.name cause)
-                   tag)
-                (Profile.count skip_prof.Soc.profiles.(t) cause)
-                (Profile.count p cause))
-            Mosaic_obs.Stall.all)
-        sharded.Soc.profiles)
-    (if case.ntiles > 2 then [ 2; case.ntiles ] else [ 2 ]);
   (* Oracle 3: a store round trip reproduces the trace exactly. *)
   let tiles = Array.make case.ntiles (case.kernel, case.args) in
   let digest =
@@ -161,7 +127,7 @@ let run_case ~quiet ~size i base_seed =
     rt.Mosaic.Retime.cycles;
   check case "instrs (retimed at base vs simulated)" skip_prof.Soc.instrs
     rt.Mosaic.Retime.instrs;
-  (* Oracle 6: checkpoint at a pseudo-random cycle, resume a fresh run
+  (* Oracle 5: checkpoint at a pseudo-random cycle, resume a fresh run
      from the snapshot, and demand the straight run back bit-for-bit. *)
   let mid =
     if skip_prof.Soc.cycles <= 1 then 0
@@ -247,5 +213,5 @@ let () =
     Store.reset ();
     run_case ~quiet:!quiet ~size:!size i !seed
   done;
-  Printf.printf "fuzz_differential: %d cases, 6 oracles each, 0 divergences\n"
+  Printf.printf "fuzz_differential: %d cases, 5 oracles each, 0 divergences\n"
     !count
