@@ -27,7 +27,7 @@ type t = {
       (** per packed (dst, chan): consumptions committed before the message *)
   mutable occupancy : int;
       (** running total of buffered messages across all channels *)
-  arrivals : unit Pqueue.t;
+  arrivals : Pqueue.t;
       (** arrival cycles of buffered sends, drained lazily; its head is the
           conservative next-event view for the cycle-skipping scheduler *)
   stats : stats;
@@ -59,7 +59,7 @@ let buffer t ~dst ~chan =
   else begin
     let q = Int_ring.create ~capacity:t.capacity in
     if t.nrings = Array.length t.rings then begin
-      let grown = Array.make (Stdlib.max 8 (2 * t.nrings)) q in
+      let grown = Array.make (Int.max 8 (2 * t.nrings)) q in
       Array.blit t.rings 0 grown 0 t.nrings;
       t.rings <- grown
     end;
@@ -97,7 +97,7 @@ let send t ~src ~dst ~chan ~cycle ~available =
       t.stats.sends <- t.stats.sends + 1;
       emit_handoff t ~src ~dst ~chan ~cycle;
       t.occupancy <- t.occupancy + 1;
-      Pqueue.add t.arrivals ~prio:arrival ();
+      Pqueue.add t.arrivals ~prio:arrival 0;
       if t.occupancy > t.stats.max_occupancy then
         t.stats.max_occupancy <- t.occupancy;
       true
@@ -135,7 +135,7 @@ let try_recv t ~tile ~chan ~cycle =
     let arrival = Int_ring.pop_exn q in
     t.occupancy <- t.occupancy - 1;
     t.stats.recvs <- t.stats.recvs + 1;
-    Some (Stdlib.max (cycle + 1) arrival)
+    Some (Int.max (cycle + 1) arrival)
   end
 
 (* Buffered messages are consumable as soon as they are enqueued (arrival
@@ -179,7 +179,7 @@ let ff_set_channel t ~dst ~chan ~buffered ~owed ~sends ~recvs ~cycle =
     for _ = 1 to net do
       if not (Int_ring.push q cycle) then
         invalid_arg "Interleaver.ff_set_channel: buffered beyond capacity";
-      Pqueue.add t.arrivals ~prio:cycle ()
+      Pqueue.add t.arrivals ~prio:cycle 0
     done;
   Int_table.set t.owed (pack ~dst ~chan) owed;
   t.occupancy <- t.occupancy + net;
@@ -199,7 +199,7 @@ type dump = {
   d_rings : Int_ring.dump array;
   d_owed : Int_table.dump;
   d_occupancy : int;
-  d_arrivals : unit Pqueue.dump;
+  d_arrivals : Pqueue.dump;
   d_stats : int array;
 }
 

@@ -74,7 +74,7 @@ let reserve_link t link ~earliest =
     else find (epoch + 1)
   in
   let epoch = find (earliest / t.cfg.epoch_cycles) in
-  Stdlib.max earliest (epoch * t.cfg.epoch_cycles)
+  Int.max earliest (epoch * t.cfg.epoch_cycles)
 
 let delay t ~src ~dst ~cycle =
   check_tile t "delay" src;

@@ -492,11 +492,11 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
           (* Jump to the cap so a deadlock surfaces with the same
              max_cycles failure as the naive sweep. *)
           cfg.max_cycles
-        else Stdlib.min next cfg.max_cycles
+        else Int.min next cfg.max_cycles
       in
       let target =
         match sampler with
-        | Some d -> Stdlib.min target (Sample.skip_cap d ~cycle:!cycle)
+        | Some d -> Int.min target (Sample.skip_cap d ~cycle:!cycle)
         | None -> target
       in
       (* Skipped cycles are provably identical no-ops, so each tile's
@@ -550,7 +550,7 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
              let f = tile_stats.(i).Core_tile.finish_cycle in
              if f >= 0 then f else cycles
            in
-           let gated = Stdlib.min finish mgr.busy_by_tile.(i) in
+           let gated = Int.min finish mgr.busy_by_tile.(i) in
            let powered =
              float_of_int (finish - gated) +. (0.25 *. float_of_int gated)
            in

@@ -125,7 +125,7 @@ let simple_access st stats ~cycle =
     Int_table.clear st.epoch_used;
     st.oldest_epoch <- epoch
   end;
-  let completion = Stdlib.max earliest (epoch * cfg.epoch_cycles) in
+  let completion = Int.max earliest (epoch * cfg.epoch_cycles) in
   if completion > earliest then stats.busy_returns <- stats.busy_returns + 1;
   completion
 
@@ -140,7 +140,7 @@ let detailed_access st stats ~sink ~cycle ~addr =
       let phase = c mod cfg.t_refi in
       if phase < cfg.t_rfc then c + (cfg.t_rfc - phase) else c
   in
-  let start = refresh_adjust (Stdlib.max cycle st.bank_avail.(bank)) in
+  let start = refresh_adjust (Int.max cycle st.bank_avail.(bank)) in
   let array_latency =
     if st.bank_open_row.(bank) = row then begin
       stats.row_hits <- stats.row_hits + 1;

@@ -117,7 +117,7 @@ let rec demand t caches i ~cycle ~addr ~dirty_first =
           if ready >= 0 then begin
             (Cache.stats c).Cache.mshr_merges <-
               (Cache.stats c).Cache.mshr_merges + 1;
-            Stdlib.max base ready
+            Int.max base ready
           end
           else base
       | `Miss ->
@@ -317,7 +317,7 @@ let dram_burst t ~cycle ~addr ~bytes ~is_write =
     let completion = ref cycle in
     for i = 0 to nlines - 1 do
       completion :=
-        Stdlib.max !completion
+        Int.max !completion
           (Dram.access t.dram ~cycle ~addr:(addr + (i * line)) kind)
     done;
     !completion

@@ -30,7 +30,7 @@ let create cfg =
   {
     cfg;
     streams =
-      Array.init (Stdlib.max cfg.table_size 1) (fun _ ->
+      Array.init (Int.max cfg.table_size 1) (fun _ ->
           { last = -1; stride = 0; confidence = 0; lru = 0 });
     tick = 0;
     scratch = Int_vec.create ~initial_capacity:8 ();

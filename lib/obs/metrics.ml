@@ -77,19 +77,19 @@ let counter_value c = c.count
 let set g v = g.value <- v
 let gauge_value g = g.value
 
-let bucket_index h v =
+(* Observations are cycle counts. Taking an int and converting here keeps
+   the float unboxed; a float argument would be boxed by every caller. The
+   bucket search is a [while] loop over local refs, since a local
+   recursive function would allocate a closure per observation. *)
+let observe h n =
+  let v = float_of_int n in
   (* First bound >= v, else the overflow bucket. *)
-  let n = Array.length h.bounds in
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if h.bounds.(mid) >= v then search lo mid else search (mid + 1) hi
-  in
-  search 0 n
-
-let observe h v =
-  Fenwick.add h.buckets (bucket_index h v) 1;
+  let lo = ref 0 and hi = ref (Array.length h.bounds) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if h.bounds.(mid) >= v then hi := mid else lo := mid + 1
+  done;
+  Fenwick.add h.buckets !lo 1;
   h.hcount <- h.hcount + 1;
   h.fstate.(0) <- h.fstate.(0) +. v;
   if v < h.fstate.(1) then h.fstate.(1) <- v;
@@ -110,7 +110,7 @@ let hist_quantile h q =
   if h.hcount = 0 then 0.0
   else begin
     let target =
-      Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int h.hcount)))
+      Int.max 1 (int_of_float (Float.ceil (q *. float_of_int h.hcount)))
     in
     let n = Array.length h.bounds in
     let rec find i =

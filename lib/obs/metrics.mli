@@ -39,7 +39,10 @@ val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
-val observe : histogram -> float -> unit
+
+(** [observe h n] records one observation of [n] (a cycle count). It
+    allocates nothing, so it can sit on a per-instruction path. *)
+val observe : histogram -> int -> unit
 
 val hist_count : histogram -> int
 val hist_sum : histogram -> float

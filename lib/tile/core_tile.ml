@@ -56,6 +56,9 @@ type t = {
   pos_of_id : int array;
       (** instruction id -> position within its block, precomputed so DBB
           wiring never rescans the block per dependence edge *)
+  ci_of_id : int array;
+      (** instruction id -> [Tile_config.class_index], decoded once so
+          issue and completion never re-classify the op *)
   mask : int;  (** node- and DBB-ring capacity - 1 *)
   n_iid : int array;  (** static instruction id *)
   n_dbb : int array;  (** launch number of the owning DBB *)
@@ -80,12 +83,13 @@ type t = {
           previous heap popped and re-pushed every blocked node every cycle
           (two O(log n) sifts each), which dominated the issue stage *)
   mutable ready_len : int;
-  events : int Pqueue.t;  (** seqs by completion cycle *)
+  events : Pqueue.t;  (** seqs by completion cycle *)
   mao : Mao.t;
-  mao_release : Mao.handle Pqueue.t;
-      (** deferred LSQ frees for fire-and-forget memory ops: the core
-          retires them immediately but the entry pins the LSQ until the
-          access completes in memory *)
+  mao_release : Pqueue.t;
+      (** MAO handles by release cycle: deferred LSQ frees for
+          fire-and-forget memory ops. The core retires them immediately
+          but the entry pins the LSQ until the access completes in
+          memory. *)
   stash : int array;
       (** seqs that became ready since the last issue scan; sorted and
           merged into [ready_arr] at the top of the next scan *)
@@ -95,6 +99,11 @@ type t = {
   fu_limit_ci : int array;  (** dense per-class cost tables, see below *)
   latency_ci : int array;
   energy_ci : float array;
+  energy : float array;
+      (** one cell: the running [stats.energy_pj]. A flat float array
+          stores it unboxed; the record field, which shares a block with
+          ints, would box a fresh float at every completion. [stats],
+          [dump] and [restore] publish or load it. *)
   mutable live_dbbs : int;
   live_per_bb : int array;
   mutable last_term : int;
@@ -143,18 +152,21 @@ let create ?(sink = Mosaic_obs.Sink.null) ?lat_hist ?(profile = Profile.null)
   let all_instrs =
     Array.concat (Array.to_list (Array.map (fun b -> b.Func.instrs) blocks))
   in
-  let ninstrs = Stdlib.max func.Func.ninstrs (Array.length all_instrs) in
+  let ninstrs = Int.max func.Func.ninstrs (Array.length all_instrs) in
   let instr_of_id =
     if Array.length all_instrs = 0 then [||]
     else Array.make ninstrs all_instrs.(0)
   in
-  let pos_of_id = Array.make (Stdlib.max ninstrs 1) (-1) in
+  let pos_of_id = Array.make (Int.max ninstrs 1) (-1) in
+  let ci_of_id = Array.make (Int.max ninstrs 1) 0 in
   Array.iter
     (fun (b : Func.block) ->
       Array.iteri
         (fun k (i : Instr.t) ->
           instr_of_id.(i.Instr.id) <- i;
-          pos_of_id.(i.Instr.id) <- k)
+          pos_of_id.(i.Instr.id) <- k;
+          ci_of_id.(i.Instr.id) <-
+            Tile_config.class_index (Op.classify i.Instr.op))
         b.Func.instrs)
     blocks;
   (* A launch needs fewer than [window_size] seqs in flight and adds one
@@ -162,7 +174,7 @@ let create ?(sink = Mosaic_obs.Sink.null) ?lat_hist ?(profile = Profile.null)
      seqs, nor more DBBs than seqs. *)
   let longest =
     Array.fold_left
-      (fun m (b : Func.block) -> Stdlib.max m (Array.length b.Func.instrs))
+      (fun m (b : Func.block) -> Int.max m (Array.length b.Func.instrs))
       1 blocks
   in
   let cap = ceil_pow2 (config.Tile_config.window_size + longest) 8 in
@@ -180,6 +192,7 @@ let create ?(sink = Mosaic_obs.Sink.null) ?lat_hist ?(profile = Profile.null)
     comm;
     instr_of_id;
     pos_of_id;
+    ci_of_id;
     mask = cap - 1;
     n_iid = col 0;
     n_dbb = col 0;
@@ -208,7 +221,7 @@ let create ?(sink = Mosaic_obs.Sink.null) ?lat_hist ?(profile = Profile.null)
     mao_release = Pqueue.create ();
     stash = col 0;
     stash_len = 0;
-    last_writer = Array.make (Stdlib.max func.Func.nregs 1) (-1);
+    last_writer = Array.make (Int.max func.Func.nregs 1) (-1);
     fu_busy = Array.make Tile_config.nclasses 0;
     (* The issue path consults these once per issue attempt; compiling
        the config's association lists into dense arrays here keeps those
@@ -216,6 +229,7 @@ let create ?(sink = Mosaic_obs.Sink.null) ?lat_hist ?(profile = Profile.null)
     fu_limit_ci = Tile_config.fu_limit_table config;
     latency_ci = Tile_config.latency_table config;
     energy_ci = Tile_config.energy_table config;
+    energy = [| 0.0 |];
     live_dbbs = 0;
     live_per_bb = Array.make (Array.length blocks) 0;
     last_term = -1;
@@ -235,7 +249,9 @@ let create ?(sink = Mosaic_obs.Sink.null) ?lat_hist ?(profile = Profile.null)
 
 let id t = t.id
 let config t = t.cfg
-let stats t = t.stats
+let stats t =
+  t.stats.energy_pj <- t.energy.(0);
+  t.stats
 let profile t = t.prof
 let finished t = t.done_
 let mao_stalls t = Mao.stalls t.mao
@@ -272,11 +288,10 @@ let complete_node t s ~cycle =
   if Mosaic_obs.Sink.enabled t.sink then
     Mosaic_obs.Sink.emit t.sink ~cycle
       (Mosaic_obs.Event.Instr_retire { tile = t.id; seq = s });
-  let op = t.instr_of_id.(t.n_iid.(sl)).Instr.op in
-  let cls = Op.classify op in
+  let iid = t.n_iid.(sl) in
+  let op = t.instr_of_id.(iid).Instr.op in
   t.stats.completed_instrs <- t.stats.completed_instrs + 1;
-  t.stats.energy_pj <-
-    t.stats.energy_pj +. t.energy_ci.(Tile_config.class_index cls);
+  t.energy.(0) <- t.energy.(0) +. t.energy_ci.(t.ci_of_id.(iid));
   (* Fire-and-forget ops free their MAO entry when memory completes, not
      when the core retires them. *)
   (match op with
@@ -527,7 +542,7 @@ let try_launches t ~cycle =
 
 (* --- Issue --- *)
 
-let fixed_completion ~cycle ~div lat = cycle + Stdlib.max 1 (lat * div)
+let fixed_completion ~cycle ~div lat = cycle + Int.max 1 (lat * div)
 
 (* Profiler hook for issue-scan failures; [blocked] doubles as the -1
    "cannot issue" completion code so the failure paths below stay
@@ -550,9 +565,9 @@ let blocked t s cause =
    a steady allocation drip. *)
 let try_issue t s ~cycle =
   let sl = s land t.mask in
-  let op = t.instr_of_id.(t.n_iid.(sl)).Instr.op in
-  let cls = Op.classify op in
-  let ci = Tile_config.class_index cls in
+  let iid = t.n_iid.(sl) in
+  let op = t.instr_of_id.(iid).Instr.op in
+  let ci = t.ci_of_id.(iid) in
   if t.fu_busy.(ci) >= t.fu_limit_ci.(ci) then begin
     note_fail t s Stall.Structural;
     false
@@ -638,8 +653,8 @@ let try_issue t s ~cycle =
           let r =
             t.comm.accel ~tile:t.id ~kind ~params:t.n_accel.(sl) ~cycle
           in
-          t.stats.energy_pj <- t.stats.energy_pj +. r.energy_pj;
-          Stdlib.max (cycle + 1) r.finish_cycle
+          t.energy.(0) <- t.energy.(0) +. r.energy_pj;
+          Int.max (cycle + 1) r.finish_cycle
       | _ -> fixed_completion ~cycle ~div t.latency_ci.(ci)
     in
     if completion < 0 then false
@@ -649,14 +664,18 @@ let try_issue t s ~cycle =
       if Mosaic_obs.Sink.enabled t.sink then
         Mosaic_obs.Sink.emit t.sink ~cycle
           (Mosaic_obs.Event.Instr_issue
-             { tile = t.id; seq = s; cls = Op.class_to_string cls });
+             {
+               tile = t.id;
+               seq = s;
+               cls = Op.class_to_string (Op.classify op);
+             });
       (match t.lat_hist with
       | Some hist when Op.is_mem op ->
-          Mosaic_obs.Metrics.observe hist (float_of_int (c - cycle))
+          Mosaic_obs.Metrics.observe hist (c - cycle)
       | _ -> ());
       t.fu_busy.(ci) <- t.fu_busy.(ci) + 1;
       t.stats.issued_by_class.(ci) <- t.stats.issued_by_class.(ci) + 1;
-      Pqueue.add t.events ~prio:(Stdlib.max (cycle + 1) c) s;
+      Pqueue.add t.events ~prio:(Int.max (cycle + 1) c) s;
       true
     end
   end
@@ -703,7 +722,7 @@ let issue_out_of_order t ~cycle =
   (* Scan the whole window's worth of ready nodes in seq order: blocked
      older entries must not starve issuable younger ones. Issued nodes are
      squeezed out in place as the scan advances; blocked ones stay put. *)
-  let scan_budget = Stdlib.min 256 t.cfg.Tile_config.window_size in
+  let scan_budget = Int.min 256 t.cfg.Tile_config.window_size in
   let r = ref 0 in
   let w = ref 0 in
   let continue = ref true in
@@ -787,15 +806,25 @@ let classify t ~issued =
   end
   else Profile.book_cause p Stall.Idle
 
+(* A tile at the full SoC clock (divider 1) is on an edge every cycle;
+   only slower tiles pay for the [mod]. *)
+let on_edge t ~cycle =
+  let div = t.cfg.Tile_config.clock_divider in
+  div <= 1 || cycle mod div = 0
+
 let step t ~cycle =
   if t.done_ then begin
     if t.prof.Profile.enabled then Profile.book_cause t.prof Stall.Finished;
     false
   end
-  else if cycle mod t.cfg.Tile_config.clock_divider = 0 then begin
+  else if on_edge t ~cycle then begin
     if t.prof.Profile.enabled then Profile.reset_scan t.prof;
     let progress = ref (process_events t ~cycle) in
-    Array.fill t.fu_busy 0 (Array.length t.fu_busy) 0;
+    (* A loop, not [Array.fill]: the fill is a C call, dearer than the
+       dozen stores it makes. *)
+    for ci = 0 to Array.length t.fu_busy - 1 do
+      t.fu_busy.(ci) <- 0
+    done;
     if t.launch_enabled && try_launches t ~cycle then progress := true;
     let issued =
       if t.cfg.Tile_config.in_order then issue_in_order t ~cycle
@@ -925,7 +954,7 @@ let ff_commit t ~instrs ~dbbs ~mem_accesses ~by_class ~accel_energy_pj =
       t.stats.issued_by_class.(ci) <- t.stats.issued_by_class.(ci) + k;
       energy := !energy +. (float_of_int k *. t.energy_ci.(ci)))
     by_class;
-  t.stats.energy_pj <- t.stats.energy_pj +. !energy;
+  t.energy.(0) <- t.energy.(0) +. !energy;
   Array.fill t.last_writer 0 (Array.length t.last_writer) (-1);
   t.last_term <- -1;
   t.pending_mispredict <- false
@@ -961,9 +990,9 @@ type dump = {
   d_next_seq : int;
   d_ready : int array;
   d_stash : int array;
-  d_events : int Pqueue.dump;
+  d_events : Pqueue.dump;
   d_mao : Mao.dump;
-  d_mao_release : int Pqueue.dump;
+  d_mao_release : Pqueue.dump;
   d_last_writer : int array;
   d_fu_busy : int array;
   d_live_dbbs : int;
@@ -1023,7 +1052,7 @@ let dump t =
         t.stats.mem_accesses; t.stats.branch.Branch.predictions;
         t.stats.branch.Branch.mispredictions;
       |];
-    d_energy_pj = t.stats.energy_pj;
+    d_energy_pj = t.energy.(0);
     d_issued_by_class = Array.copy t.stats.issued_by_class;
     d_prof = Profile.dump t.prof;
     d_lat_hist = Option.map Mosaic_obs.Metrics.hist_dump t.lat_hist;
@@ -1098,6 +1127,7 @@ let restore t d =
   t.stats.mem_accesses <- d.d_stats.(3);
   t.stats.branch.Branch.predictions <- d.d_stats.(4);
   t.stats.branch.Branch.mispredictions <- d.d_stats.(5);
+  t.energy.(0) <- d.d_energy_pj;
   t.stats.energy_pj <- d.d_energy_pj;
   Array.blit d.d_issued_by_class 0 t.stats.issued_by_class 0
     (Array.length t.stats.issued_by_class);

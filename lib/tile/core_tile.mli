@@ -88,6 +88,11 @@ val step : t -> cycle:int -> bool
 val next_event_cycle : t -> cycle:int -> int option
 
 val finished : t -> bool
+
+(** The tile's counters. The record is shared and updated as the tile
+    runs, except [energy_pj]: the running sum lives unboxed inside the
+    tile and is copied into the record by each call, so read the field
+    from a fresh [stats t]. *)
 val stats : t -> stats
 
 val profile : t -> Profile.t

@@ -153,24 +153,28 @@ let rebuild_snapshot t =
   t.snap_nstores <- !ns;
   t.snap_dirty <- false
 
-let can_issue t me_abs =
-  prune t;
-  if t.snap_dirty then rebuild_snapshot t;
-  let me = slot t me_abs in
-  let m = mask t in
-  let me_load = not t.stores.(me) in
-  (* Rank of [me] among live entries = its index in the ascending
-     snapshot (binary search; [me] is live, so it is present). *)
+(* Rank of live entry [me_abs] among live entries = its index in the
+   ascending snapshot (binary search; it is live, so it is present). *)
+let rank t me_abs =
   let lo = ref 0 in
   let hi = ref t.snap_nlive in
   while !hi - !lo > 1 do
     let mid = (!lo + !hi) / 2 in
     if t.snap_live.(mid) <= me_abs then lo := mid else hi := mid
   done;
-  let rank = !lo in
+  !lo
+
+let can_issue t me_abs =
+  prune t;
+  if t.snap_dirty then rebuild_snapshot t;
+  let me = slot t me_abs in
+  let m = mask t in
+  let me_load = not t.stores.(me) in
   let ok =
-    (* Inside the capacity window of oldest in-flight entries? *)
-    if rank >= t.capacity then false
+    (* Inside the capacity window of oldest in-flight entries? Its rank
+       among live entries is at most [me_abs - head], so the rank search
+       runs only when the retained span alone is over capacity. *)
+    if me_abs - t.head >= t.capacity && rank t me_abs >= t.capacity then false
     else begin
       (* Only stores can block a load; anything older can block a store. *)
       let arr = if me_load then t.snap_stores else t.snap_live in

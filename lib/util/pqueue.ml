@@ -1,17 +1,20 @@
-(* Binary min-heap over (priority, sequence, payload). The sequence number
-   makes equal-priority pops FIFO, so event processing is deterministic.
+(* Binary min-heap over (priority, sequence, payload), all ints. The
+   sequence number makes equal-priority pops FIFO, so event processing is
+   deterministic.
 
-   Stored as three parallel arrays (struct-of-arrays) so pushes allocate
-   nothing: the per-entry record of the previous implementation cost an
-   allocation per event on the simulator's hottest path. The option-free
-   accessors ([min_prio]/[min_elt]/[drop_min]) exist for the same reason —
-   [peek]/[pop] allocate a [Some (prio, payload)] per call and survive only
-   for cold call sites. *)
+   Stored as three parallel int arrays (struct-of-arrays) so pushes
+   allocate nothing. The payloads are ints, not ['a]: a polymorphic array
+   write goes through [caml_modify] and a read checks for the float-array
+   tag, on a path run once per simulated instruction. Callers with richer
+   payloads keep them in their own tables and queue an index. The
+   option-free accessors ([min_prio]/[min_elt]/[drop_min]) avoid the
+   [Some (prio, payload)] that [peek]/[pop] allocate per call; those serve
+   cold call sites only. *)
 
-type 'a t = {
+type t = {
   mutable prios : int array;
   mutable seqs : int array;
-  mutable payloads : 'a array;
+  mutable payloads : int array;
   mutable size : int;
   mutable next_seq : int;
 }
@@ -55,28 +58,20 @@ let rec sift_down q i =
     sift_down q !smallest
   end
 
-let grow q payload =
+let grow q =
   let cap = Array.length q.prios in
-  if cap = 0 then begin
-    q.prios <- Array.make 16 0;
-    q.seqs <- Array.make 16 0;
-    q.payloads <- Array.make 16 payload
-  end
-  else begin
-    let new_cap = 2 * cap in
-    let ps = Array.make new_cap 0
-    and ss = Array.make new_cap 0
-    and xs = Array.make new_cap q.payloads.(0) in
-    Array.blit q.prios 0 ps 0 q.size;
-    Array.blit q.seqs 0 ss 0 q.size;
-    Array.blit q.payloads 0 xs 0 q.size;
-    q.prios <- ps;
-    q.seqs <- ss;
-    q.payloads <- xs
-  end
+  let new_cap = Int.max 16 (2 * cap) in
+  let widen a =
+    let b = Array.make new_cap 0 in
+    Array.blit a 0 b 0 q.size;
+    b
+  in
+  q.prios <- widen q.prios;
+  q.seqs <- widen q.seqs;
+  q.payloads <- widen q.payloads
 
 let add q ~prio payload =
-  if q.size = Array.length q.prios then grow q payload;
+  if q.size = Array.length q.prios then grow q;
   q.prios.(q.size) <- prio;
   q.seqs.(q.size) <- q.next_seq;
   q.payloads.(q.size) <- payload;
@@ -140,10 +135,10 @@ let clear q = q.size <- 0
    on the backing arrays' spare capacity, and FIFO tie-breaking is carried
    entirely by [seqs]/[next_seq]. *)
 
-type 'a dump = {
+type dump = {
   d_prios : int array;
   d_seqs : int array;
-  d_payloads : 'a array;
+  d_payloads : int array;
   d_next_seq : int;
 }
 

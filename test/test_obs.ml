@@ -97,7 +97,7 @@ let test_metrics_histogram () =
   let h = Metrics.histogram ~bounds:[| 1.; 2.; 4.; 8. |] reg "lat" in
   checkf "empty quantile" 0.0 (Metrics.hist_quantile h 0.5);
   checkf "empty min" 0.0 (Metrics.hist_min h);
-  List.iter (fun v -> Metrics.observe h v) [ 1.0; 1.0; 3.0; 7.0; 100.0 ];
+  List.iter (fun v -> Metrics.observe h v) [ 1; 1; 3; 7; 100 ];
   checki "count" 5 (Metrics.hist_count h);
   checkf "sum" 112.0 (Metrics.hist_sum h);
   checkf "min" 1.0 (Metrics.hist_min h);
@@ -116,8 +116,8 @@ let test_metrics_csv_roundtrip () =
   Metrics.incr ~by:7 (Metrics.counter reg "a.count");
   Metrics.set (Metrics.gauge reg "a.rate") 0.125;
   let h = Metrics.histogram ~bounds:[| 10.; 100. |] reg "a.lat" in
-  Metrics.observe h 5.0;
-  Metrics.observe h 50.0;
+  Metrics.observe h 5;
+  Metrics.observe h 50;
   let rows = Metrics.rows reg in
   let parsed = Metrics.of_csv (Metrics.to_csv reg) in
   checki "row count survives" (List.length rows) (List.length parsed);

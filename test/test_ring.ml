@@ -147,8 +147,8 @@ let test_allocation () =
     (Printf.sprintf "promoted words/instr %.3f < 1" promoted)
     true (promoted < 1.0);
   checkb
-    (Printf.sprintf "minor words/instr %.3f <= 5" minor)
-    true (minor <= 5.0)
+    (Printf.sprintf "minor words/instr %.3f <= 0.25" minor)
+    true (minor <= 0.25)
 
 let suite =
   [

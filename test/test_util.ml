@@ -10,19 +10,18 @@ let checkf = Alcotest.(check (float 1e-9))
 
 let test_pqueue_order () =
   let q = Pqueue.create () in
-  List.iter (fun (p, x) -> Pqueue.add q ~prio:p x) [ (5, "e"); (1, "a"); (3, "c") ];
-  Alcotest.(check (option (pair int string))) "peek" (Some (1, "a")) (Pqueue.peek q);
-  Alcotest.(check (option (pair int string))) "pop1" (Some (1, "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "pop2" (Some (3, "c")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "pop3" (Some (5, "e")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "empty" None (Pqueue.pop q)
+  List.iter (fun (p, x) -> Pqueue.add q ~prio:p x) [ (5, 50); (1, 10); (3, 30) ];
+  Alcotest.(check (option (pair int int))) "peek" (Some (1, 10)) (Pqueue.peek q);
+  Alcotest.(check (option (pair int int))) "pop1" (Some (1, 10)) (Pqueue.pop q);
+  Alcotest.(check (option (pair int int))) "pop2" (Some (3, 30)) (Pqueue.pop q);
+  Alcotest.(check (option (pair int int))) "pop3" (Some (5, 50)) (Pqueue.pop q);
+  Alcotest.(check (option (pair int int))) "empty" None (Pqueue.pop q)
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
-  List.iter (fun x -> Pqueue.add q ~prio:7 x) [ "first"; "second"; "third" ];
+  List.iter (fun x -> Pqueue.add q ~prio:7 x) [ 101; 102; 103 ];
   let order = List.filter_map (fun () -> Option.map snd (Pqueue.pop q)) [ (); (); () ] in
-  Alcotest.(check (list string)) "fifo on equal priority"
-    [ "first"; "second"; "third" ] order
+  Alcotest.(check (list int)) "fifo on equal priority" [ 101; 102; 103 ] order
 
 let test_pqueue_pop_until () =
   let q = Pqueue.create () in
@@ -48,7 +47,7 @@ let test_pqueue_grows () =
 
 let test_pqueue_clear () =
   let q = Pqueue.create () in
-  Pqueue.add q ~prio:1 ();
+  Pqueue.add q ~prio:1 0;
   Pqueue.clear q;
   checkb "empty after clear" true (Pqueue.is_empty q)
 
@@ -63,6 +62,56 @@ let prop_pqueue_sorted =
       in
       let out = drain [] in
       out = List.sort compare prios)
+
+(* Random interleavings of [add] (Some prio) and [drop_min] (None) against
+   a list model ordered by (prio, insertion number); the payload is the
+   insertion number, so a pop names exactly which entry left. Halfway
+   through a run the queue is dumped and the rest replays on both an
+   [of_dump] copy and a [restore]d queue. *)
+let prop_pqueue_fifo_model =
+  QCheck.Test.make ~name:"pqueue pops in (prio, insertion) order" ~count:300
+    QCheck.(pair (list (option (int_range 0 15))) small_nat)
+    (fun (ops, cut) ->
+      let ops = Array.of_list ops in
+      let cut = if Array.length ops = 0 then 0 else cut mod Array.length ops in
+      let run q model next lo hi =
+        let model = ref model and next = ref next and ok = ref true in
+        for i = lo to hi - 1 do
+          match ops.(i) with
+          | Some prio ->
+              Pqueue.add q ~prio !next;
+              model := !model @ [ (prio, !next) ];
+              incr next
+          | None -> (
+              match !model with
+              | [] -> ok := !ok && Pqueue.is_empty q
+              | m :: rest ->
+                  let best =
+                    List.fold_left
+                      (fun (bp, bn) (p, n) ->
+                        if p < bp || (p = bp && n < bn) then (p, n) else (bp, bn))
+                      m rest
+                  in
+                  model := List.filter (fun e -> e <> best) !model;
+                  ok :=
+                    !ok
+                    && Pqueue.min_prio q = fst best
+                    && Pqueue.min_elt q = snd best;
+                  Pqueue.drop_min q)
+        done;
+        (!ok && Pqueue.length q = List.length !model, !model, !next)
+      in
+      let q = Pqueue.create () in
+      let ok1, model, next = run q [] 0 0 cut in
+      let d = Pqueue.dump q in
+      let restored = Pqueue.create () in
+      Pqueue.add restored ~prio:99 99;
+      Pqueue.restore restored d;
+      let n = Array.length ops in
+      let ok2, _, _ = run q model next cut n in
+      let ok3, _, _ = run (Pqueue.of_dump d) model next cut n in
+      let ok4, _, _ = run restored model next cut n in
+      ok1 && ok2 && ok3 && ok4)
 
 (* --- Bounded_queue --- *)
 
@@ -431,6 +480,7 @@ let suite =
         Alcotest.test_case "growth keeps order" `Quick test_pqueue_grows;
         Alcotest.test_case "clear" `Quick test_pqueue_clear;
         QCheck_alcotest.to_alcotest prop_pqueue_sorted;
+        QCheck_alcotest.to_alcotest prop_pqueue_fifo_model;
       ] );
     ( "util.bounded_queue",
       [
