@@ -790,6 +790,17 @@ let dse_cmd =
 (* Incremental design-space sweep: one exact profiled simulation + N cheap
    re-timings, full simulator as the per-point oracle behind --exact. *)
 let sweep_cmd =
+  (* A spec stays beside its parsed axis: the table title prints it. *)
+  let axis_conv =
+    let parse s =
+      match Mosaic.Sweep.parse_axis s with
+      | Ok axis -> Ok (s, axis)
+      | Error why ->
+          Error (`Msg (Printf.sprintf "invalid value '%s' (%s)" s why))
+    in
+    Arg.conv ~docv:"SPEC"
+      (parse, fun ppf (s, _) -> Format.pp_print_string ppf s)
+  in
   let axis_arg =
     let doc =
       "Sweep axis as $(b,name=v1,v2,...) (repeatable; axes cross into a \
@@ -798,7 +809,7 @@ let sweep_cmd =
        (GHz). Default: l1=8,16,32,64 crossed with l2=256,512,1024,2048 \
        (16 points)."
     in
-    Arg.(value & opt_all string [] & info [ "axis"; "a" ] ~docv:"SPEC" ~doc)
+    Arg.(value & opt_all axis_conv [] & info [ "axis"; "a" ] ~docv:"SPEC" ~doc)
   in
   let exact_arg =
     let doc =
@@ -811,15 +822,26 @@ let sweep_cmd =
       manifest =
     apply_manifest manifest;
     apply_trace_cache cache;
-    let inst = resolve_instance bench in
-    let trace = W.Runner.trace_cached inst ~ntiles:tiles in
     let cfg =
       apply_no_skip no_skip (system_of_string system)
     in
-    let specs = match axes with [] -> Mosaic.Sweep.default_axes | a -> a in
-    let points =
-      Mosaic.Sweep.grid (List.map Mosaic.Sweep.axis_of_spec specs)
+    let axes =
+      match axes with
+      | [] ->
+          List.map
+            (fun s -> (s, Mosaic.Sweep.axis_of_spec s))
+            Mosaic.Sweep.default_axes
+      | a -> a
     in
+    let specs = List.map fst axes in
+    let points = Mosaic.Sweep.grid (List.map snd axes) in
+    (match Mosaic.Sweep.validate cfg (core_of_string core) points with
+    | Ok () -> ()
+    | Error msg ->
+        Printf.eprintf "mosaicsim: option '--axis': %s\n" msg;
+        exit Cmd.Exit.cli_error);
+    let inst = resolve_instance bench in
+    let trace = W.Runner.trace_cached inst ~ntiles:tiles in
     let o =
       Mosaic.Sweep.run ~jobs ~exact cfg ~tile_config:(core_of_string core)
         ~program:inst.W.Runner.program ~trace points

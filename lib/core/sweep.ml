@@ -85,58 +85,70 @@ let int_edit name (v : int) : edit =
   | "window" -> (cfg, { tc with TC.window_size = v })
   | "lsq" -> (cfg, { tc with TC.lsq_size = v })
   | "div" -> (cfg, { tc with TC.clock_divider = v })
-  | "freq" -> ({ cfg with Soc.freq_ghz = float_of_int v }, tc)
-  | _ ->
-      failwith
-        (Printf.sprintf
-           "unknown sweep axis %s \
-            (l1|l2|llc|dramlat|wire|plm|lanes|width|window|lsq|div|freq)"
-           name)
+  | _ -> invalid_arg ("Sweep: no integer axis " ^ name)
 
-let float_edit name v : edit =
- fun (cfg, tc) ->
-  match name with
-  | "freq" -> ({ cfg with Soc.freq_ghz = v }, tc)
-  | _ -> int_edit name (int_of_float v) (cfg, tc)
+let freq_edit ghz : edit =
+ fun (cfg, tc) -> ({ cfg with Soc.freq_ghz = ghz }, tc)
+
+(* Every axis and the values the exact simulator runs. Sizes (cache,
+   PLM KB), lanes and core knobs start at 1: a zero or negative cache
+   crashes cache construction, [width=0] never issues and runs to
+   [max_cycles]. Latencies may be 0. [freq] is a positive GHz figure and
+   the only axis that takes non-integer values. *)
+type domain = Int_from of int | Positive_float
+
+let axis_domains =
+  [
+    ("l1", Int_from 1); ("l2", Int_from 1); ("llc", Int_from 1);
+    ("dramlat", Int_from 0); ("wire", Int_from 0); ("plm", Int_from 1);
+    ("lanes", Int_from 1); ("width", Int_from 1); ("window", Int_from 1);
+    ("lsq", Int_from 1); ("div", Int_from 1); ("freq", Positive_float);
+  ]
+
+let point_of name domain v =
+  let label = Printf.sprintf "%s=%s" name v in
+  let bad expected =
+    Error (Printf.sprintf "axis %s: bad value %S (expected %s)" name v expected)
+  in
+  match domain with
+  | Int_from lo -> (
+      match int_of_string_opt v with
+      | Some n when n >= lo -> Ok (label, int_edit name n)
+      | _ -> bad (Printf.sprintf "an integer >= %d" lo))
+  | Positive_float -> (
+      match float_of_string_opt v with
+      | Some f when Float.is_finite f && f > 0.0 -> Ok (label, freq_edit f)
+      | _ -> bad "a positive number")
 
 (* "l1=8,16,32,64" -> an axis of four labelled edits. Cache and PLM sizes
-   are in KB, latencies in cycles, freq in GHz. *)
-let axis_of_spec spec =
+   are in KB, latencies in cycles, freq in GHz. Level presence and cache
+   geometry depend on the config: [validate] checks them. *)
+let parse_axis spec =
   match String.index_opt spec '=' with
   | None ->
-      failwith
-        (Printf.sprintf "bad axis spec %S (expected name=v1,v2,...)" spec)
-  | Some i ->
+      Error (Printf.sprintf "bad axis spec %S (expected name=v1,v2,...)" spec)
+  | Some i -> (
       let name = String.sub spec 0 i in
       let rest = String.sub spec (i + 1) (String.length spec - i - 1) in
-      let values = String.split_on_char ',' rest in
-      if values = [] || rest = "" then
-        failwith (Printf.sprintf "axis %s: no values" name);
-      let points =
-        List.map
-          (fun v ->
-            let label = Printf.sprintf "%s=%s" name v in
-            match int_of_string_opt v with
-            | Some n -> (label, int_edit name n)
-            | None -> (
-                match float_of_string_opt v with
-                | Some f -> (label, float_edit name f)
-                | None ->
-                    failwith
-                      (Printf.sprintf "axis %s: bad value %S" name v)))
-          values
-      in
-      (* Validate the axis name eagerly; level presence and geometry are
-         checked against the real config when the edit runs. *)
-      let known =
-        [ "l1"; "l2"; "llc"; "dramlat"; "wire"; "plm"; "lanes"; "width";
-          "window"; "lsq"; "div"; "freq" ]
-      in
-      if not (List.mem name known) then
-        failwith
-          (Printf.sprintf "unknown sweep axis %s (%s)" name
-             (String.concat "|" known));
-      { axis = name; points }
+      match List.assoc_opt name axis_domains with
+      | None ->
+          Error
+            (Printf.sprintf "unknown sweep axis %S (%s)" name
+               (String.concat "|" (List.map fst axis_domains)))
+      | Some _ when rest = "" ->
+          Error (Printf.sprintf "axis %s: no values" name)
+      | Some domain ->
+          let rec points acc = function
+            | [] -> Ok { axis = name; points = List.rev acc }
+            | v :: vs -> (
+                match point_of name domain v with
+                | Ok p -> points (p :: acc) vs
+                | Error _ as e -> e)
+          in
+          points [] (String.split_on_char ',' rest))
+
+let axis_of_spec spec =
+  match parse_axis spec with Ok a -> a | Error msg -> failwith msg
 
 (* Cartesian product of axes, first axis slowest. *)
 let grid axes =
@@ -151,6 +163,26 @@ let grid axes =
         acc)
     [ ("", fun p -> p) ]
     axes
+
+(* Apply every point's edit to the base config and check what only the
+   config can tell: that the edited level exists and its cache geometry
+   divides into sets. *)
+let validate cfg tile_config points =
+  let levels (h : Hierarchy.config) =
+    h.Hierarchy.l1
+    :: (Option.to_list h.Hierarchy.l2 @ Option.to_list h.Hierarchy.llc)
+  in
+  let problem (label, edit) =
+    match
+      List.iter
+        (fun c -> ignore (Cache.validate_config c))
+        (levels (fst (edit (cfg, tile_config))).Soc.hierarchy)
+    with
+    | () -> None
+    | exception (Failure msg | Invalid_argument msg) ->
+        Some (Printf.sprintf "point %s: %s" label msg)
+  in
+  match List.find_map problem points with None -> Ok () | Some e -> Error e
 
 (* L1 x private-L2 sizes: 16 points, all geometrically valid on both
    system presets' associativities. *)

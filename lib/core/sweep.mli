@@ -16,13 +16,27 @@ type edit = Soc.config * Mosaic_tile.Tile_config.t ->
 
 type axis = { axis : string; points : (string * edit) list }
 
-(** Parse ["name=v1,v2,..."]. Raises [Failure] on unknown axes or bad
-    values (validated eagerly). *)
+(** Parse ["name=v1,v2,..."]. [Error] names the axis and the offending
+    value for an unknown axis, an unparsable value or one the exact
+    simulator cannot run (a size, lane count or core knob below 1, a
+    negative latency, a non-positive frequency). *)
+val parse_axis : string -> (axis, string) result
+
+(** {!parse_axis}, raising [Failure] with its message. *)
 val axis_of_spec : string -> axis
 
 (** Cartesian product of axes; labels join as ["l1=8 llc=512"], first
     axis slowest. *)
 val grid : axis list -> (string * edit) list
+
+(** Check every point against the config it will edit: the edited
+    cache level exists and its geometry is valid. [Error] names the
+    point. *)
+val validate :
+  Soc.config ->
+  Mosaic_tile.Tile_config.t ->
+  (string * edit) list ->
+  (unit, string) result
 
 (** The 16-point default: [l1=8,16,32,64] x [l2=256,512,1024,2048]. *)
 val default_axes : string list

@@ -50,7 +50,7 @@ let train t ~branch_id (term : Instr.t) ~actual =
       if predicted_taken <> was_taken then
         t.mispredictions <- t.mispredictions + 1;
       t.counters.(idx) <-
-        (if was_taken then Stdlib.min 3 (c + 1) else Stdlib.max 0 (c - 1));
+        (if was_taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
       (match t.kind with
       | Gshare _ ->
           t.history <- (t.history lsl 1) lor (if was_taken then 1 else 0)
@@ -99,7 +99,7 @@ let observe t ~branch_id (term : Instr.t) ~actual =
       let was_taken = actual = taken in
       let c = t.counters.(idx) in
       t.counters.(idx) <-
-        (if was_taken then Stdlib.min 3 (c + 1) else Stdlib.max 0 (c - 1));
+        (if was_taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
       match t.kind with
       | Gshare _ ->
           t.history <- (t.history lsl 1) lor (if was_taken then 1 else 0)

@@ -10,7 +10,7 @@ type t = {
 }
 
 let create ?(initial_capacity = 16) () =
-  let cap = Stdlib.max initial_capacity 4 in
+  let cap = Int.max initial_capacity 4 in
   { prios = Array.make cap 0; values = Array.make cap 0; size = 0 }
 
 let length h = h.size
@@ -19,7 +19,7 @@ let is_empty h = h.size = 0
 let grow h =
   (* [restore]/[of_dump] can leave a zero-capacity backing array; doubling
      zero would stay zero. *)
-  let cap = Stdlib.max 4 (2 * Array.length h.prios) in
+  let cap = Int.max 4 (2 * Array.length h.prios) in
   let ps = Array.make cap 0 and vs = Array.make cap 0 in
   Array.blit h.prios 0 ps 0 h.size;
   Array.blit h.values 0 vs 0 h.size;

@@ -12,7 +12,7 @@ type t = {
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Int_ring.create: capacity must be positive";
-  { capacity; data = Array.make (Stdlib.min capacity 8) 0; head = 0; len = 0 }
+  { capacity; data = Array.make (Int.min capacity 8) 0; head = 0; len = 0 }
 
 let length q = q.len
 let is_empty q = q.len = 0
@@ -21,7 +21,7 @@ let capacity q = q.capacity
 
 let grow q =
   let cap = Array.length q.data in
-  let fresh = Array.make (Stdlib.min q.capacity (2 * cap)) 0 in
+  let fresh = Array.make (Int.min q.capacity (2 * cap)) 0 in
   for i = 0 to q.len - 1 do
     fresh.(i) <- q.data.((q.head + i) mod cap)
   done;

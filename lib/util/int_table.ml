@@ -32,7 +32,7 @@ let check_key k =
 let rec ceil_pow2 n acc = if acc >= n then acc else ceil_pow2 n (acc * 2)
 
 let create ?(initial_capacity = 16) () =
-  let cap = ceil_pow2 (Stdlib.max initial_capacity 8) 8 in
+  let cap = ceil_pow2 (Int.max initial_capacity 8) 8 in
   {
     keys = Array.make cap empty_key;
     vals = Array.make cap 0;

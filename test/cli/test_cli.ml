@@ -1,7 +1,10 @@
 (* Bad command-line input is a usage error, never a crash.
 
    Runs the built mosaicsim binary on malformed flag values, unknown
-   benchmarks, an unreadable .mir path and an unknown flag (--shards).
+   benchmarks, an unreadable .mir path, an unknown flag (--shards) and
+   sweep axes that name an unknown axis, an unparsable value or a value
+   the simulator cannot run (a negative cache, a zero issue width, an
+   LLC size the preset's associativity does not divide).
    Each must exit 124, cmdliner's usage-error code, with a first stderr
    line that names the bad value and no "internal error, uncaught
    exception" report.
@@ -53,6 +56,12 @@ let cases =
     ([ "run"; "spmv"; "--core"; "foo" ], "'foo'");
     ([ "bench"; "spmv"; "--jobs"; "0" ], "'0'");
     ([ "run"; "spmv"; "--shards"; "2" ], "'--shards'");
+    ([ "sweep"; "spmv"; "--axis"; "l1=-1,0,3" ], "'l1=-1,0,3'");
+    ([ "sweep"; "spmv"; "--axis"; "l1=-1"; "--exact" ], "'l1=-1'");
+    ([ "sweep"; "spmv"; "--axis"; "width=0"; "--exact" ], "'width=0'");
+    ([ "sweep"; "spmv"; "--axis"; "l1=abc" ], "'l1=abc'");
+    ([ "sweep"; "spmv"; "--axis"; "bogus=1" ], "'bogus=1'");
+    ([ "sweep"; "spmv"; "--axis"; "llc=1"; "--exact" ], "llc=1");
   ]
 
 let () =

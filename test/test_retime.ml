@@ -29,6 +29,14 @@ module Trace = Mosaic_trace.Trace
 module Analysis = Mosaic_trace.Analysis
 
 let checki = Alcotest.(check int)
+let checkb = Alcotest.(check bool)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 let case_of_seed seed =
   let case = Ir.Gen.generate ~seed ~size:40 () in
@@ -87,6 +95,53 @@ let test_freq_invariance () =
         s.Sweep.base.Soc.cycles p.Sweep.retimed.Retime.cycles)
     s.Sweep.points
 
+(* Every spec the defaults, docs and [dse --bench] use parses; each bad
+   spec is an [Error] naming the axis and the offending value, and the
+   preset check catches an LLC size its associativity does not divide. *)
+let test_axis_specs () =
+  List.iter
+    (fun spec ->
+      match Sweep.parse_axis spec with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s rejected: %s" spec msg)
+    (Sweep.default_axes
+    @ [ "freq=1,2,3.2,4"; "plm=4,16,64,256"; "l1=8,16,32,64"; "dramlat=0,50";
+        "wire=0,1"; "lanes=1,16"; "width=1,4"; "window=1,128"; "lsq=1,64";
+        "div=1,2"; "llc=512,1024" ]);
+  List.iter
+    (fun (spec, names) ->
+      match Sweep.parse_axis spec with
+      | Ok _ -> Alcotest.failf "%s accepted" spec
+      | Error msg ->
+          List.iter
+            (fun n ->
+              checkb
+                (Printf.sprintf "%s: %S names %s" spec msg n)
+                true
+                (contains ~sub:n msg))
+            names)
+    [
+      ("l1=-1,0,3", [ "l1"; "-1" ]);
+      ("l1=8,0", [ "l1"; "\"0\"" ]);
+      ("width=0", [ "width"; "0" ]);
+      ("l1=abc", [ "l1"; "abc" ]);
+      ("l1=8.5", [ "l1"; "8.5" ]);
+      ("freq=0", [ "freq"; "0" ]);
+      ("freq=nan", [ "freq"; "nan" ]);
+      ("bogus=1", [ "bogus" ]);
+      ("l1", [ "l1" ]);
+      ("l1=", [ "l1" ]);
+    ];
+  let check_points cfg spec =
+    Sweep.validate cfg TC.out_of_order (Sweep.grid [ Sweep.axis_of_spec spec ])
+  in
+  checkb "llc=5,10 fits the xeon LLC" true
+    (check_points Presets.xeon_soc "llc=5,10" = Ok ());
+  checkb "llc=1 does not" true
+    (Result.is_error (check_points Presets.xeon_soc "llc=1"));
+  checkb "llc=1 fits the DAE LLC" true
+    (check_points Presets.dae_soc "llc=1" = Ok ())
+
 let test_parallel_determinism () =
   let serial = run_sweep sweep_points in
   let par = run_sweep ~jobs:4 sweep_points in
@@ -127,6 +182,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_identity;
         Alcotest.test_case "freq axis is timing-invariant" `Quick
           test_freq_invariance;
+        Alcotest.test_case "axis specs validated up front" `Quick
+          test_axis_specs;
         Alcotest.test_case "sweep jobs:4 matches serial" `Quick
           test_parallel_determinism;
         Alcotest.test_case "skeleton accounting" `Quick

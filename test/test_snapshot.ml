@@ -254,7 +254,7 @@ let test_rejects_v1 () =
    reports a plausible estimate (deterministically), and rejects malformed
    specs. Accuracy at scale is measured in the bench suite against the
    exact oracle (speed.sample.* in BENCH_speed.json, guarded by
-   tools/check_sample). *)
+   tools/gate). *)
 let test_sampling () =
   (* Large enough that the cold-start transient is a small fraction of the
      run — sampling is an asymptotic technique; tiny runs are all
